@@ -1,4 +1,4 @@
-//! The sharded-dispatch bench: hash-once SPSC dispatch vs the
+//! The sharded-dispatch bench: hash-once sharded dispatch vs the
 //! single-thread batched ceiling, plus the `BENCH_sharded.json`
 //! snapshot.
 //!
@@ -10,7 +10,7 @@
 //! (route + worker prolog), cloned into per-shard `Vec`s, and shipped
 //! over an allocating mutex-backed mpsc channel. The rewritten plane
 //! hashes once, ships recycled structure-of-arrays prepared sub-batches
-//! over bounded SPSC rings, and workers ingest via
+//! over bounded channels, and workers ingest via
 //! `insert_prepared_batch` with no re-hash.
 //!
 //! Measurements are **interleaved paired rounds**

@@ -3,7 +3,7 @@
 //! Recovery code that is only exercised by hand-crafted thread aborts
 //! rots; a [`FaultPlan`] makes worker death a *scheduled, reproducible*
 //! event instead. A plan is a list of [`FaultSpec`]s — `kill shard k
-//! after p packets`, `panic mid-walk`, `wedge the work ring` — threaded
+//! after p packets`, `panic mid-walk`, `wedge the worker` — threaded
 //! through the shard worker loop by
 //! [`ShardedEngine::set_fault_plan`](crate::ShardedEngine::set_fault_plan).
 //! Triggers are counted in *packets applied by that shard's worker*, so
@@ -21,8 +21,8 @@
 //!                         that would be its 50_001st
 //! mid-walk:0@1000         shard 0 applies part of the crossing batch,
 //!                         then panics (state torn mid-stream)
-//! wedge:1@9000            shard 1 stops consuming and closes its work
-//!                         ring (backpressure sees Closed, not Full)
+//! wedge:1@9000            shard 1 stops consuming and exits without
+//!                         panicking (its work channel disconnects)
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,9 +39,10 @@ pub enum FaultKind {
     /// batch: the worst case — the shard's sketch is torn mid-stream
     /// and its algo mutex is poisoned.
     MidWalk,
-    /// Stop consuming: close the work ring from the consumer side and
-    /// exit without panicking. The dispatcher's backpressure path
-    /// observes `Closed` (not `Full`) and must poison, not spin.
+    /// Stop consuming: exit the worker without panicking. Its work
+    /// channel disconnects, so the dispatcher's sends — even one
+    /// already blocked on a full channel — fail and poison the shard
+    /// instead of waiting forever.
     Wedge,
 }
 

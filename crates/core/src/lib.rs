@@ -66,7 +66,6 @@ pub mod reshard;
 pub mod sharded;
 pub mod sketch;
 pub mod sliding;
-pub mod spsc;
 pub mod stats;
 pub mod store;
 pub mod weighted;
@@ -82,10 +81,7 @@ pub use merge::{MergeError, MergeMode};
 pub use minimum::MinimumTopK;
 pub use parallel::ParallelTopK;
 pub use reshard::{ReshardError, ReshardReport};
-pub use sharded::{
-    BackpressurePolicy, RecoverError, RecoveryReport, ShardPoisoned, ShardedEngine,
-    ShardedParallelTopK,
-};
+pub use sharded::{BackpressurePolicy, RecoverError, RecoveryReport, ShardPoisoned, ShardedEngine};
 pub use sketch::HkSketch;
 pub use sliding::SlidingTopK;
 pub use stats::InsertStats;

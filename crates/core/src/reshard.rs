@@ -3,9 +3,9 @@
 //!
 //! [`ShardedEngine::reshard`](crate::ShardedEngine::reshard) changes
 //! the shard count under traffic as a phase-structured migration —
-//! drain (checkpoint barrier through every ring), split/merge (rebuild
-//! every new shard from restored donor checkpoints), swap (install the
-//! new topology and lane routing). This module holds the pieces that
+//! drain (checkpoint barrier through every work channel), split/merge
+//! (rebuild every new shard from restored donor checkpoints), swap
+//! (install the new topology and lane routing). This module holds the pieces that
 //! are pure data or pure arithmetic:
 //!
 //! * **Lane intervals.** Routing folds a prepared key's 32-bit lane to

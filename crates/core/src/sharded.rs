@@ -25,12 +25,12 @@
 //!   structure-of-arrays sub-batches (`keys` + `PreparedKey`s, plain
 //!   `Copy` stores — [`FlowKey`] keys are small POD, never cloned
 //!   through an allocation). Filled sub-batches travel to workers over
-//!   bounded [`SpscRing`]s and the drained buffers come back over a
-//!   per-shard **return ring**, so after warm-up a steady stream
-//!   dispatches with no allocation at all
+//!   a bounded, preallocated [`sync_channel`] per shard and the drained
+//!   buffers come back over a per-shard **return channel**, so after
+//!   warm-up a steady stream dispatches with no allocation at all
 //!   ([`ShardedEngine::dispatch_buffers_allocated`] stops moving).
-//!   A full work ring is **backpressure**: the dispatcher holds the
-//!   batch until the worker frees a slot, instead of queueing without
+//!   A full work channel is **backpressure**: the dispatcher blocks in
+//!   `send` until the worker frees a slot, instead of queueing without
 //!   bound.
 //! * **Merge at query.** Because flows are partitioned, the global
 //!   top-k is the k largest of the union of per-shard top-ks — no
@@ -47,19 +47,22 @@
 //! [`TopKAlgorithm::insert_batch`] dispatches at every call boundary.
 //! Any read ([`TopKAlgorithm::query`] / [`TopKAlgorithm::top_k`])
 //! first dispatches pending packets and then **flushes**: it waits until
-//! every shard has drained its ring, so reads always observe every
+//! every shard has drained its channel, so reads always observe every
 //! packet inserted before them — the pipeline lag is bounded by the
 //! flush, not exposed to readers. Within one shard packets are
 //! processed in arrival order by a single thread, so results are
 //! deterministic: independent of scheduling, equal to running each
 //! shard's sub-stream sequentially.
 //!
-//! ## Worker wakeups
+//! ## Worker wakeups and shutdown
 //!
-//! Workers spin briefly on an empty ring, then advertise themselves
-//! asleep and park; the dispatcher unparks a sleeping worker only after
-//! an actual push (edge-triggered — no per-send syscalls while the
-//! worker is busy, unlike an mpsc channel's per-send notification).
+//! A worker blocks in the channel's `recv` when idle and wakes on the
+//! next message; the channel's own disconnect is the shutdown signal.
+//! Dropping a shard's sender (engine drop, respawn, reshard teardown)
+//! lets the worker drain what was queued and exit, and a worker that
+//! exits or unwinds drops its receiver, so the dispatcher's next `send`
+//! — even one already blocked on a full channel — fails instead of
+//! waiting forever.
 //!
 //! ## Worker death
 //!
@@ -81,16 +84,15 @@
 //! * **Checkpointing.** Every shard's algorithm is periodically encoded
 //!   (via [`ShardCheckpoint`] — the encoding is the algorithm's own wire
 //!   format, so wire frames double as restart state) into an in-engine
-//!   checkpoint slot. Checkpoint *ops* ride the work ring like any
+//!   checkpoint slot. Checkpoint *ops* ride the work channel like any
 //!   control message, so a checkpoint captures the state after exactly
 //!   the packets dispatched before it — a well-defined cut of the
 //!   shard's sub-stream. Cadence: every `N` dispatched batches, at
 //!   every [`ShardedEngine::rotate_all`] barrier, and on demand via
 //!   [`ShardedEngine::checkpoint_now`].
 //! * **Respawn.** [`ShardedEngine::recover`] decodes each poisoned
-//!   shard's last checkpoint, spawns a fresh worker with fresh SPSC
-//!   work/return rings (the dead thread still owns clones of the old
-//!   ones), re-admits the lane, and reports the *dark window* — the
+//!   shard's last checkpoint, spawns a fresh worker with fresh
+//!   work/return channels, re-admits the lane, and reports the *dark window* — the
 //!   packets routed to the shard after the checkpoint cut, which the
 //!   restored state does not include — in a [`RecoveryReport`]. With
 //!   [`ShardedEngine::set_auto_recover`] the ingest entry points run
@@ -109,12 +111,8 @@
 //! phase-aligns period boundaries across shards:
 //! [`ShardedEngine::rotate_all`] dispatches everything pending and then
 //! enqueues a rotation control message behind it on every shard's
-//! ring, so every shard rotates at the same point of its sub-stream
+//! work channel, so every shard rotates at the same point of its sub-stream
 //! without a stop-the-world barrier.
-//!
-//! This replaces the old `ShardedParallelTopK` special case (which
-//! parallelized over the `d` arrays of a single Parallel instance and
-//! worked for nothing else); that name survives as a type alias.
 
 use crate::config::HkConfig;
 use crate::fault::{FaultKind, FaultPlan, ShardFaults};
@@ -122,7 +120,6 @@ use crate::merge::MergeError;
 use crate::minimum::MinimumTopK;
 use crate::parallel::ParallelTopK;
 use crate::reshard::{donor_range, lane_to_shard, ReshardError, ReshardReport};
-use crate::spsc::{PushError, SpscRing};
 use hk_common::algorithm::{
     EpochRotate, PreparedInsert, ShardCheckpoint, ShardReshard, TopKAlgorithm,
 };
@@ -130,6 +127,7 @@ use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, PreparedKey};
 use hk_obs::{EventKind, ObsHub, ReshardStage, WorkerObs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -143,25 +141,23 @@ const ROUTE_SEED: u64 = 0x5EED_0F50 ^ 0xA110_C8ED;
 /// Default number of scalar inserts buffered before a dispatch.
 pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
 
-/// Work-ring depth per shard: how many dispatched sub-batches may be in
-/// flight before the dispatcher blocks (backpressure). Small on
+/// Work-channel depth per shard: how many dispatched sub-batches may be
+/// in flight before the dispatcher blocks (backpressure). Small on
 /// purpose — at the default batch size one slot is thousands of
-/// packets, and a deep ring would only hide a slow shard behind queue
-/// growth.
+/// packets, and a deep channel would only hide a slow shard behind
+/// queue growth.
 const WORK_RING_CAPACITY: usize = 8;
 
-/// Return-ring depth: work ring + the buffer the worker holds + the one
-/// the dispatcher is filling, so a drained buffer essentially always
-/// finds a free return slot (an overflowing return drops the buffer —
-/// self-correcting, the dispatcher allocates a fresh one on demand).
+/// Return-channel depth: work channel + the buffer the worker holds +
+/// the one the dispatcher is filling, so a drained buffer essentially
+/// always finds a free return slot (an overflowing return drops the
+/// buffer — self-correcting, the dispatcher allocates a fresh one on
+/// demand).
 const RECYCLE_RING_CAPACITY: usize = WORK_RING_CAPACITY + 2;
 
-/// How many empty polls a worker burns before parking.
-const WORKER_SPIN: usize = 64;
-
-/// What the dispatcher does when a shard's work ring is full.
+/// What the dispatcher does when a shard's work channel is full.
 ///
-/// The ring is deliberately shallow ([`WORK_RING_CAPACITY`] slots), so
+/// The channel is deliberately shallow ([`WORK_RING_CAPACITY`] slots), so
 /// a shard that falls behind fills it fast; this policy decides whether
 /// the *whole* dispatch plane then runs at the slow shard's pace or the
 /// slow shard's overflow is dropped. See
@@ -183,7 +179,7 @@ pub enum BackpressurePolicy {
 /// A routed sub-batch in structure-of-arrays form: flow keys and, on
 /// the hash-once handoff path, their prepared hash state (index
 /// aligned; empty in route-only mode). Buffers cycle dispatcher →
-/// work ring → worker → return ring → dispatcher, keeping their
+/// work channel → worker → return channel → dispatcher, keeping their
 /// capacity, so steady-state dispatch neither allocates nor frees.
 struct SubBatch<K> {
     keys: Vec<K>,
@@ -213,7 +209,7 @@ impl<K> SubBatch<K> {
 
 /// One unit of shard-worker work: a routed sub-batch, or a control
 /// operation applied to the shard's algorithm in stream order (e.g. the
-/// epoch rotation of [`ShardedEngine::rotate_all`]). Because the ring
+/// epoch rotation of [`ShardedEngine::rotate_all`]). Because the channel
 /// preserves order and every shard receives the same cut — all
 /// sub-batches dispatched before the op, none after — control ops stay
 /// phase-aligned across shards.
@@ -246,7 +242,7 @@ impl std::error::Error for ShardPoisoned {}
 
 /// A shard's last taken checkpoint: the encoded restart state plus the
 /// routed-packet count at its cut (the value of the shard's cumulative
-/// routed counter when the checkpoint op was enqueued — by ring order,
+/// routed counter when the checkpoint op was enqueued — by channel order,
 /// exactly the packets the worker had applied when it encoded).
 #[derive(Clone)]
 struct CheckpointSlot {
@@ -322,22 +318,28 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
+/// Messages a shard's two channels carried (work + return), behind the
+/// `ring_pushes`/`ring_pops` obs gauges. Relaxed: statistics only.
+#[derive(Default)]
+struct Transit {
+    sent: AtomicU64,
+    received: AtomicU64,
+}
+
 struct Shard<K, A> {
     algo: Arc<Mutex<A>>,
     /// Dispatcher → worker transport (sub-batches + control ops).
-    work: Arc<SpscRing<ShardMsg<K, A>>>,
-    /// Worker → dispatcher transport of drained, cleared buffers.
-    recycled: Arc<SpscRing<SubBatch<K>>>,
+    /// Dropping it is the worker's shutdown signal. The return
+    /// channel's receiver lives in [`Pending`], under the lock
+    /// `take_buffer` already holds.
+    work: SyncSender<ShardMsg<K, A>>,
     /// Flush units handed to the worker (batch lengths + 1 per op).
     /// Written only on the producer side, under the pending lock.
     enqueued: AtomicU64,
     /// Flush units the worker has fully applied.
     processed: Arc<AtomicU64>,
-    /// True while the worker is parked on an empty ring; the dispatcher
-    /// unparks (and clears) it after a push. Edge-triggered wakeups.
-    sleeping: Arc<AtomicBool>,
-    /// The worker's thread handle, for unparking.
-    unparker: std::thread::Thread,
+    /// Send/receive counts on both channels.
+    transit: Arc<Transit>,
     /// Set once the worker is observed dead with work outstanding; the
     /// shard is skipped from then on instead of panicking the caller
     /// thread.
@@ -365,7 +367,7 @@ struct Shard<K, A> {
     /// before any hub exists). Unset = instrumentation off: the worker
     /// pays one atomic load per batch and nothing else.
     obs: Arc<OnceLock<WorkerObs>>,
-    worker: Option<JoinHandle<()>>,
+    worker: JoinHandle<()>,
 }
 
 impl<K, A> Shard<K, A> {
@@ -373,16 +375,18 @@ impl<K, A> Shard<K, A> {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Wakes the worker iff it advertised itself asleep.
-    fn wake(&self) {
-        if self.sleeping.swap(false, Ordering::SeqCst) {
-            self.unparker.unpark();
-        }
+    /// Closes the work channel and reaps the worker, which drains what
+    /// was queued and exits (a dead worker is just reaped).
+    fn retire(self) {
+        drop(self.work);
+        let _ = self.worker.join();
     }
 }
 
 struct Pending<K> {
     per_shard: Vec<SubBatch<K>>,
+    /// Each shard's return channel: drained buffers coming back.
+    recycled: Vec<Receiver<SubBatch<K>>>,
     total: usize,
 }
 
@@ -394,7 +398,7 @@ type RestoreFn<A> = fn(&[u8]) -> Option<A>;
 
 /// A multi-core top-k engine: `N` owned shards of any
 /// [`PreparedInsert`] algorithm, fed hash-partitioned prepared
-/// sub-batches over bounded SPSC rings.
+/// sub-batches over bounded channels.
 ///
 /// # Examples
 ///
@@ -424,7 +428,7 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     /// no thread can ingest them).
     lost: AtomicU64,
     /// Sub-batch buffers ever allocated (the initial per-shard set plus
-    /// any allocated when the return ring came up empty). Flat after
+    /// any allocated when the return channel came up empty). Flat after
     /// warm-up — the recycling invariant the tests pin down.
     buffers_allocated: AtomicU64,
     /// Checkpoint cadence in dispatched batches per shard; `None` until
@@ -440,9 +444,9 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     auto_recover: bool,
     /// Every recovery this engine has performed, in order.
     recovery_log: Vec<RecoveryReport>,
-    /// Full-work-ring policy (see [`BackpressurePolicy`]).
+    /// Full-work-channel policy (see [`BackpressurePolicy`]).
     backpressure: BackpressurePolicy,
-    /// Packets dropped by [`BackpressurePolicy::Shed`] on full rings —
+    /// Packets dropped by [`BackpressurePolicy::Shed`] on full channels —
     /// the lossy-policy sibling of [`ShardedEngine::lost_packets`].
     shed: AtomicU64,
     /// The installed fault plan, kept so a reshard can arm shard
@@ -495,10 +499,10 @@ where
         } else {
             HashSpec::new(ROUTE_SEED, 32)
         };
-        let shards = shards
+        let (shards, recycled) = shards
             .into_iter()
             .map(|a| Self::spawn_shard(a, handoff))
-            .collect();
+            .unzip();
         Self {
             shards,
             route,
@@ -507,6 +511,7 @@ where
             batch_capacity: DEFAULT_BATCH_CAPACITY,
             pending: Mutex::new(Pending {
                 per_shard: (0..n).map(|_| SubBatch::new()).collect(),
+                recycled,
                 total: 0,
             }),
             lost: AtomicU64::new(0),
@@ -524,7 +529,7 @@ where
         }
     }
 
-    fn spawn_shard(algo: A, handoff: bool) -> Shard<K, A> {
+    fn spawn_shard(algo: A, handoff: bool) -> (Shard<K, A>, Receiver<SubBatch<K>>) {
         Self::spawn_shard_with(
             algo,
             handoff,
@@ -539,53 +544,49 @@ where
     /// on respawn) and starting both packet counters at `base_packets`
     /// — the restoring checkpoint's cut, so dark-window accounting and
     /// fault thresholds stay in cumulative sub-stream coordinates across
-    /// repeated kills.
+    /// repeated kills. Returns the shard and the receiving end of its
+    /// return channel, which the caller installs in [`Pending`].
     fn spawn_shard_with(
         algo: A,
         handoff: bool,
         checkpoint: Arc<Mutex<Option<CheckpointSlot>>>,
         faults: Arc<ShardFaults>,
         base_packets: u64,
-    ) -> Shard<K, A> {
+    ) -> (Shard<K, A>, Receiver<SubBatch<K>>) {
         let algo = Arc::new(Mutex::new(algo));
         let processed = Arc::new(AtomicU64::new(0));
         let packets_done = Arc::new(AtomicU64::new(base_packets));
-        let sleeping = Arc::new(AtomicBool::new(false));
-        let work = Arc::new(SpscRing::new(WORK_RING_CAPACITY));
-        let recycled = Arc::new(SpscRing::new(RECYCLE_RING_CAPACITY));
+        let transit = Arc::new(Transit::default());
+        let (work, work_rx) = sync_channel(WORK_RING_CAPACITY);
+        let (recycle_tx, recycled) = sync_channel(RECYCLE_RING_CAPACITY);
         let obs: Arc<OnceLock<WorkerObs>> = Arc::new(OnceLock::new());
         let worker = {
             let algo = Arc::clone(&algo);
             let processed = Arc::clone(&processed);
             let packets_done = Arc::clone(&packets_done);
-            let sleeping = Arc::clone(&sleeping);
-            let work = Arc::clone(&work);
-            let recycled = Arc::clone(&recycled);
+            let transit = Arc::clone(&transit);
             let faults = Arc::clone(&faults);
             let obs = Arc::clone(&obs);
             std::thread::spawn(move || {
                 Self::worker_loop(
                     &algo,
-                    &work,
-                    &recycled,
+                    work_rx,
+                    recycle_tx,
                     &processed,
                     &packets_done,
-                    &sleeping,
+                    &transit,
                     &faults,
                     handoff,
                     &obs,
                 )
             })
         };
-        let unparker = worker.thread().clone();
-        Shard {
+        let shard = Shard {
             algo,
             work,
-            recycled,
             enqueued: AtomicU64::new(0),
             processed,
-            sleeping,
-            unparker,
+            transit,
             poisoned: AtomicBool::new(false),
             packets_routed: AtomicU64::new(base_packets),
             packets_done,
@@ -593,31 +594,33 @@ where
             checkpoint,
             faults,
             obs,
-            worker: Some(worker),
-        }
+            worker,
+        };
+        (shard, recycled)
     }
 
-    /// The shard worker: drain the work ring in order, return drained
-    /// buffers, park when idle. Runs until the dispatcher closes the
-    /// ring (engine drop) and the backlog is drained — or an injected
-    /// fault takes it down first.
+    /// The shard worker: apply the work channel's messages in order and
+    /// return drained buffers, blocking in `recv` when idle. Runs until
+    /// the dispatcher drops its sender (engine drop, respawn, reshard)
+    /// and the backlog is drained — or an injected fault takes it down
+    /// first. Either way `work` drops with this frame (on return or
+    /// unwind), so the dispatcher's sends fail from then on.
     #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         algo: &Mutex<A>,
-        work: &SpscRing<ShardMsg<K, A>>,
-        recycled: &SpscRing<SubBatch<K>>,
+        work: Receiver<ShardMsg<K, A>>,
+        recycled: SyncSender<SubBatch<K>>,
         processed: &AtomicU64,
         packets_done: &AtomicU64,
-        sleeping: &AtomicBool,
+        transit: &Transit,
         faults: &ShardFaults,
         handoff: bool,
         obs: &OnceLock<WorkerObs>,
     ) {
-        let mut spins = 0usize;
-        loop {
-            match work.try_pop() {
-                Some(ShardMsg::Batch(mut batch)) => {
-                    spins = 0;
+        while let Ok(msg) = work.recv() {
+            transit.received.fetch_add(1, Ordering::Relaxed);
+            match msg {
+                ShardMsg::Batch(mut batch) => {
                     let units = batch.keys.len() as u64;
                     let applied = packets_done.load(Ordering::Relaxed);
                     if let Some((threshold, kind)) = faults.crossing(applied, units) {
@@ -648,15 +651,11 @@ where
                                 // hk-lint: allow(panic-free-worker-paths) deliberate fault injection: dies holding the algo mutex to simulate a torn walk
                                 panic!("fault injection: mid-walk at {threshold} packets")
                             }
-                            // Silent stop: close the work ring from the
-                            // consumer side and exit without panicking,
-                            // so the dispatcher's backpressure path sees
-                            // `Closed` (not `Full`) on a live-looking
-                            // shard.
-                            FaultKind::Wedge => {
-                                work.close();
-                                return;
-                            }
+                            // Silent stop: exit without panicking. The
+                            // receiver drops on return, so a dispatcher
+                            // blocked on a full channel fails instead of
+                            // waiting on a shard that will never drain.
+                            FaultKind::Wedge => return,
                         }
                     }
                     {
@@ -694,46 +693,19 @@ where
                     packets_done.fetch_add(units, Ordering::Release);
                     processed.fetch_add(units, Ordering::Release);
                     // Hand the drained buffer back for reuse; a full
-                    // return ring just drops it (the dispatcher will
+                    // return channel just drops it (the dispatcher will
                     // allocate a replacement on demand).
                     batch.clear();
-                    let _ = recycled.try_push(batch);
+                    if recycled.try_send(batch).is_ok() {
+                        transit.sent.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-                Some(ShardMsg::Op(op)) => {
-                    spins = 0;
+                ShardMsg::Op(op) => {
                     {
                         let mut guard = algo.lock().unwrap_or_else(PoisonError::into_inner);
                         op(&mut guard);
                     }
                     processed.fetch_add(1, Ordering::Release);
-                }
-                None => {
-                    if work.is_closed() {
-                        return; // Drained and shut down.
-                    }
-                    if spins < WORKER_SPIN {
-                        spins += 1;
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    // Sleep protocol: advertise, re-check, park. Every
-                    // access in the handshake is SeqCst, so in the
-                    // total order either this re-check sees the
-                    // push/close, or the other side's post-push (or
-                    // post-close) `wake` sees the flag and unparks —
-                    // a missed wakeup is impossible, and an unpark
-                    // that wins the race just makes `park` return
-                    // immediately. The generous timeout is a pure
-                    // backstop, cheap enough (a few wakeups per
-                    // second) that an idle engine stays idle.
-                    sleeping.store(true, Ordering::SeqCst);
-                    if !work.is_empty() || work.is_closed() {
-                        sleeping.store(false, Ordering::SeqCst);
-                        continue;
-                    }
-                    std::thread::park_timeout(std::time::Duration::from_millis(250));
-                    sleeping.store(false, Ordering::SeqCst);
-                    spins = 0;
                 }
             }
         }
@@ -769,9 +741,9 @@ where
     }
 
     /// Sub-batch buffers allocated so far: the initial per-shard set
-    /// plus one for every dispatch that found its shard's return ring
-    /// empty. Flat after warm-up — the observable form of "steady-state
-    /// dispatch allocates nothing".
+    /// plus one for every dispatch that found its shard's return
+    /// channel empty. Flat after warm-up — the observable form of
+    /// "steady-state dispatch allocates nothing".
     pub fn dispatch_buffers_allocated(&self) -> u64 {
         self.buffers_allocated.load(Ordering::Acquire)
     }
@@ -821,7 +793,7 @@ where
     }
 
     /// Dispatches buffered scalar inserts and waits until every live
-    /// shard has drained its ring. After this returns `Ok`, every
+    /// shard has drained its channel. After this returns `Ok`, every
     /// packet previously inserted is reflected in shard state.
     ///
     /// # Errors
@@ -858,7 +830,7 @@ where
     }
 
     /// Packets dropped by [`BackpressurePolicy::Shed`] when their
-    /// shard's work ring was full — the lossy-policy counter next to
+    /// shard's work channel was full — the lossy-policy counter next to
     /// [`ShardedEngine::lost_packets`] (which counts dead-shard drops;
     /// the two never overlap). Always zero under the default
     /// [`BackpressurePolicy::Block`].
@@ -888,16 +860,17 @@ where
         self.obs.as_ref()
     }
 
-    /// Publishes the engine-owned gauge totals (SPSC ring push/pop
-    /// counts, lost and shed packets) into the attached hub and returns
-    /// a coherent snapshot. `None` when no hub is attached.
+    /// Publishes the engine-owned gauge totals (messages sent and
+    /// received on the work and return channels, lost and shed
+    /// packets) into the attached hub and returns a coherent snapshot.
+    /// `None` when no hub is attached.
     pub fn obs_snapshot(&self) -> Option<hk_obs::Snapshot> {
         let hub = self.obs.as_ref()?;
         let mut pushes = 0u64;
         let mut pops = 0u64;
         for shard in &self.shards {
-            pushes += shard.work.pushes() + shard.recycled.pushes();
-            pops += shard.work.pops() + shard.recycled.pops();
+            pushes += shard.transit.sent.load(Ordering::Relaxed);
+            pops += shard.transit.received.load(Ordering::Relaxed);
         }
         hub.stages.ring_pushes.set(pushes);
         hub.stages.ring_pops.set(pops);
@@ -918,12 +891,12 @@ where
         }
     }
 
-    /// The current full-ring policy.
+    /// The current full-channel policy.
     pub fn backpressure(&self) -> BackpressurePolicy {
         self.backpressure
     }
 
-    /// Sets the full-ring policy (see [`BackpressurePolicy`]). A shed
+    /// Sets the full-channel policy (see [`BackpressurePolicy`]). A shed
     /// sub-batch's buffer is dropped with it, so sustained shedding
     /// re-allocates replacement buffers at the shedding rate —
     /// shedding trades the zero-alloc steady state for liveness.
@@ -954,7 +927,7 @@ where
         }
     }
 
-    /// Hands one message to a shard worker, blocking on a full ring
+    /// Hands one message to a shard worker, blocking on a full channel
     /// (backpressure) until the worker frees a slot or is found dead.
     /// `flush_units` is what the flush accounting waits for (batch
     /// length, or 1 for a control op); `packet_units` is how many real
@@ -962,8 +935,8 @@ where
     /// [`ShardedEngine::lost_packets`] when the shard is dead (a
     /// dropped rotation op is not packet loss).
     ///
-    /// Producer-side ring access: all callers hold the pending lock,
-    /// which is the SPSC producer-exclusivity discipline.
+    /// All callers hold the pending lock, so sends to one shard stay
+    /// in dispatch order.
     fn send_to_shard(&self, idx: usize, msg: ShardMsg<K, A>, flush_units: u64, packet_units: u64) {
         let shard = &self.shards[idx];
         // Routed = destined for this shard, delivered or not: the dark
@@ -977,65 +950,60 @@ where
             self.lost.fetch_add(packet_units, Ordering::Release);
             return;
         }
-        let mut msg = msg;
-        loop {
-            match shard.work.try_push(msg) {
-                Ok(()) => {
-                    // Count after a successful push: counting first
-                    // would open a window where a racing flush waits on
-                    // (and a racing death accounting double-counts)
-                    // units that were never delivered.
-                    shard.enqueued.fetch_add(flush_units, Ordering::Release);
-                    shard.wake();
+        // Shed policy: a live-but-slow shard's overflow batch is
+        // dropped instead of stalling the whole dispatch plane. Ops
+        // always block — a shed rotation or checkpoint barrier would
+        // tear the phase alignment shedding is meant to preserve.
+        let may_shed =
+            self.backpressure == BackpressurePolicy::Shed && matches!(msg, ShardMsg::Batch(_));
+        let delivered = if may_shed {
+            match shard.work.try_send(msg) {
+                Ok(()) => true,
+                Err(TrySendError::Full(_)) => {
+                    self.shed.fetch_add(packet_units, Ordering::Release);
+                    if let Some(hub) = &self.obs {
+                        hub.journal.record(EventKind::Shed {
+                            shard: idx as u64,
+                            packets: packet_units,
+                        });
+                    }
                     return;
                 }
-                Err(err) => {
-                    // Full ring: real backpressure while the worker is
-                    // alive; a dead worker can never free a slot, so
-                    // poison instead of spinning forever. (Closed only
-                    // happens mid-drop; treat it like death.)
-                    let closed = matches!(err, PushError::Closed(_));
-                    if closed || shard.worker.as_ref().is_none_or(|w| w.is_finished()) {
-                        // This message never entered `enqueued`, so its
-                        // loss is owned here unconditionally.
-                        self.lost.fetch_add(packet_units, Ordering::Release);
-                        self.poison_shard(idx);
-                        return;
-                    }
-                    msg = err.into_inner();
-                    // Shed policy: a live-but-slow shard's overflow
-                    // batch is dropped instead of stalling the whole
-                    // dispatch plane. Ops always block — a shed
-                    // rotation or checkpoint barrier would tear the
-                    // phase alignment shedding is meant to preserve.
-                    if self.backpressure == BackpressurePolicy::Shed
-                        && matches!(msg, ShardMsg::Batch(_))
-                    {
-                        self.shed.fetch_add(packet_units, Ordering::Release);
-                        if let Some(hub) = &self.obs {
-                            hub.journal.record(EventKind::Shed {
-                                shard: idx as u64,
-                                packets: packet_units,
-                            });
-                        }
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
+                Err(TrySendError::Disconnected(_)) => false,
             }
+        } else {
+            shard.work.send(msg).is_ok()
+        };
+        if delivered {
+            // Count after a successful send: counting first would open
+            // a window where a racing flush waits on (and a racing
+            // death accounting double-counts) units that were never
+            // delivered.
+            shard.enqueued.fetch_add(flush_units, Ordering::Release);
+            shard.transit.sent.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // The receiver is gone: the worker exited or unwound. This
+            // message never entered `enqueued`, so its loss is owned
+            // here unconditionally.
+            self.lost.fetch_add(packet_units, Ordering::Release);
+            self.poison_shard(idx);
         }
     }
 
     /// Grabs an empty sub-batch buffer for shard `idx`: recycled from
-    /// the worker's return ring when available, freshly allocated (and
-    /// counted) only when the cycle has not converged yet.
-    fn take_buffer(&self, idx: usize) -> SubBatch<K> {
-        match self.shards[idx].recycled.try_pop() {
-            Some(buf) => {
+    /// the worker's return channel when available, freshly allocated
+    /// (and counted) only when the cycle has not converged yet.
+    fn take_buffer(&self, pending: &Pending<K>, idx: usize) -> SubBatch<K> {
+        match pending.recycled[idx].try_recv() {
+            Ok(buf) => {
+                self.shards[idx]
+                    .transit
+                    .received
+                    .fetch_add(1, Ordering::Relaxed);
                 debug_assert!(buf.keys.is_empty(), "worker returns cleared buffers");
                 buf
             }
-            None => {
+            Err(_) => {
                 self.buffers_allocated.fetch_add(1, Ordering::Release);
                 SubBatch::new()
             }
@@ -1064,7 +1032,7 @@ where
                 pending.per_shard[idx].clear();
                 continue;
             }
-            let replacement = self.take_buffer(idx);
+            let replacement = self.take_buffer(pending, idx);
             let mut batch = std::mem::replace(&mut pending.per_shard[idx], replacement);
             let units = batch.keys.len() as u64;
             if let Some(hub) = &self.obs {
@@ -1093,10 +1061,10 @@ where
         pending.total = 0;
     }
 
-    /// Enqueues a checkpoint op on shard `idx`'s ring (caller holds the
-    /// pending lock — producer discipline). The op rides behind every
-    /// batch dispatched so far, so the state it encodes is exactly the
-    /// routed-counter cut captured here.
+    /// Enqueues a checkpoint op on shard `idx`'s work channel (caller
+    /// holds the pending lock, which keeps sends in dispatch order).
+    /// The op rides behind every batch dispatched so far, so the state
+    /// it encodes is exactly the routed-counter cut captured here.
     fn enqueue_checkpoint(&self, idx: usize) {
         let Some(encode) = self.encode else { return };
         let shard = &self.shards[idx];
@@ -1137,7 +1105,7 @@ where
                 // of busy-waiting forever. Re-read the counter after
                 // seeing the thread finished so a clean last batch is
                 // not mistaken for death.
-                if shard.worker.as_ref().is_none_or(|w| w.is_finished()) {
+                if shard.worker.is_finished() {
                     let done = shard.processed.load(Ordering::Acquire);
                     if done < target {
                         self.poison_shard(idx);
@@ -1306,9 +1274,8 @@ where
 
     /// Respawns every poisoned shard from its last checkpoint: decodes
     /// the checkpoint bytes, spawns a fresh worker on fresh work/return
-    /// rings (the dead thread still owns the old ones) around the
-    /// restored algorithm, re-admits the shard's lane, and reports each
-    /// recovery's dark window. After `Ok`,
+    /// channels around the restored algorithm, re-admits the shard's
+    /// lane, and reports each recovery's dark window. After `Ok`,
     /// [`ShardedEngine::poisoned_shards`] is empty and routed packets
     /// flow to the respawned shards again. A healthy engine returns an
     /// empty `Vec`.
@@ -1363,21 +1330,21 @@ where
     }
 
     /// Replaces a dead shard's interior with a fresh worker around
-    /// `algo`: fresh rings (the dead thread holds clones of the old
-    /// ones), fresh flush counters, packet counters rebased to the
-    /// restoring checkpoint's cut. The checkpoint slot and fault
-    /// schedule carry over — the slot still matches the restored state,
-    /// and remaining faults keep firing on the respawned worker.
+    /// `algo`: fresh channels, fresh flush counters, packet counters
+    /// rebased to the restoring checkpoint's cut. The checkpoint slot
+    /// and fault schedule carry over — the slot still matches the
+    /// restored state, and remaining faults keep firing on the
+    /// respawned worker.
     fn respawn_shard(&mut self, idx: usize, algo: A, base_packets: u64) {
-        let old = &mut self.shards[idx];
-        old.work.close();
-        if let Some(worker) = old.worker.take() {
-            let _ = worker.join(); // Already dead; reap the handle.
-        }
-        let checkpoint = Arc::clone(&old.checkpoint);
-        let faults = Arc::clone(&old.faults);
-        self.shards[idx] =
+        let checkpoint = Arc::clone(&self.shards[idx].checkpoint);
+        let faults = Arc::clone(&self.shards[idx].faults);
+        let (fresh, recycled) =
             Self::spawn_shard_with(algo, self.handoff, checkpoint, faults, base_packets);
+        std::mem::replace(&mut self.shards[idx], fresh).retire();
+        self.pending
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recycled[idx] = recycled;
         // The fresh worker's OnceLock is empty; re-wire it so the
         // respawned shard keeps accumulating on the same hub slot.
         if let Some(hub) = &self.obs {
@@ -1397,7 +1364,7 @@ where
         let any_dead = self
             .shards
             .iter()
-            .any(|s| s.is_poisoned() || s.worker.as_ref().is_none_or(|w| w.is_finished()));
+            .any(|s| s.is_poisoned() || s.worker.is_finished());
         if any_dead {
             let _ = self.recover();
         }
@@ -1414,7 +1381,7 @@ where
     /// stream over `new_shards` lanes.
     ///
     /// 1. **Drain** — dispatch everything pending and run a checkpoint
-    ///    barrier op through every shard's SPSC ring
+    ///    barrier op through every shard's work channel
     ///    ([`ShardedEngine::checkpoint_now`]), so each shard's slot is
     ///    a packet-precise cut of its sub-stream. A `kill`/`wedge`/
     ///    `mid-walk` fault firing here respawns the victim from its
@@ -1438,8 +1405,8 @@ where
     ///    counters are rebased to the packets each restored state
     ///    represents (the sum of its donor cuts), and a baseline
     ///    checkpoint of the carried state is primed so a death right
-    ///    after the swap is recoverable. Old workers are closed and
-    ///    joined.
+    ///    after the swap is recoverable. Old workers are retired: their
+    ///    channels close and their threads are joined.
     ///
     /// Ingest issued between phases buffers in the pending partition
     /// under the usual bounded backpressure policy and is dispatched to
@@ -1604,8 +1571,8 @@ where
     /// (spawning allocates; the lock only covers the pointer swap), the
     /// pending partition is resized to the new shard count under the
     /// lock — the atomic routing swap: every later `route_into` folds
-    /// lanes over the new count — and the old workers are closed and
-    /// joined after.
+    /// lanes over the new count — and the old workers are retired
+    /// after.
     fn reshard_swap(&mut self, states: Vec<(A, u64)>, encode: EncodeFn<A>) {
         let from = self.shards.len();
         let mut fresh = Vec::with_capacity(states.len());
@@ -1641,11 +1608,13 @@ where
         }
         self.buffers_allocated
             .fetch_add(fresh.len() as u64, Ordering::Release);
+        let (fresh, recycled): (Vec<_>, Vec<_>) = fresh.into_iter().unzip();
         let old = {
             // Field-level borrows (not `lock_pending`) so the guard on
             // `pending` and the mutable borrow of `shards` split.
             let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
             pending.per_shard = (0..fresh.len()).map(|_| SubBatch::new()).collect();
+            pending.recycled = recycled;
             pending.total = 0;
             std::mem::replace(&mut self.shards, fresh)
         };
@@ -1657,12 +1626,8 @@ where
                 let _ = shard.obs.set(hub.worker(j));
             }
         }
-        for mut shard in old {
-            shard.work.close();
-            shard.wake();
-            if let Some(worker) = shard.worker.take() {
-                let _ = worker.join();
-            }
+        for shard in old {
+            shard.retire();
         }
     }
 
@@ -1790,12 +1755,13 @@ where
 {
     /// Crosses one period boundary on **every** shard, phase-aligned:
     /// all pending packets are dispatched first, then a rotation
-    /// control message is enqueued behind them on each shard's ring.
-    /// Because workers process their ring in order and every shard
-    /// receives the same cut — everything inserted before this call
-    /// lands pre-rotation, everything after lands post-rotation — the
-    /// shard windows advance in lockstep without stopping the world:
-    /// rotation overlaps with the caller like any other batch.
+    /// control message is enqueued behind them on each shard's work
+    /// channel. Because workers process their channel in order and
+    /// every shard receives the same cut — everything inserted before
+    /// this call lands pre-rotation, everything after lands
+    /// post-rotation — the shard windows advance in lockstep without
+    /// stopping the world: rotation overlaps with the caller like any
+    /// other batch.
     ///
     /// # Errors
     ///
@@ -1803,9 +1769,8 @@ where
     /// windows no longer advance).
     pub fn rotate_all(&self) -> Result<(), ShardPoisoned> {
         {
-            // The ops go out under the pending lock too: it is the
-            // producer side of every shard ring, so all pushes stay
-            // serialized (SPSC) and no packet can slip between the
+            // The ops go out under the pending lock too, so all sends
+            // stay serialized and no packet can slip between the
             // dispatch and the rotation cut.
             let mut pending = self.lock_pending();
             self.dispatch_locked(&mut pending);
@@ -1979,15 +1944,14 @@ where
 
 impl<K: FlowKey, A: TopKAlgorithm<K>> Drop for ShardedEngine<K, A> {
     fn drop(&mut self) {
-        for shard in &mut self.shards {
-            // Close the ring; the worker drains the backlog and exits.
-            shard.work.close();
-            shard.wake();
-        }
-        for shard in &mut self.shards {
-            if let Some(worker) = shard.worker.take() {
-                let _ = worker.join();
-            }
+        // Drop every sender first so the workers drain their backlogs
+        // in parallel, then reap them.
+        let workers: Vec<JoinHandle<()>> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(|shard| shard.worker)
+            .collect();
+        for worker in workers {
+            let _ = worker.join();
         }
     }
 }
@@ -2065,11 +2029,6 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, MinimumTopK<K>> {
         out.ok_or(MergeError::NoLiveShards)
     }
 }
-
-/// The old Parallel-only sharded type, now a thin alias of the generic
-/// engine (construct with [`ShardedEngine::parallel`] or
-/// [`ShardedEngine::from_shards`]).
-pub type ShardedParallelTopK<K> = ShardedEngine<K, ParallelTopK<K>>;
 
 #[cfg(test)]
 mod tests {
@@ -2186,12 +2145,6 @@ mod tests {
         let mut engine = ShardedEngine::<u64, _>::parallel(&cfg(16, 4), 2);
         engine.insert_batch(&[]);
         assert!(engine.top_k().is_empty());
-    }
-
-    #[test]
-    fn alias_still_names_the_parallel_engine() {
-        let engine: ShardedParallelTopK<u64> = ShardedEngine::parallel(&cfg(64, 4), 2);
-        assert_eq!(engine.shards(), 2);
     }
 
     #[test]
@@ -2546,8 +2499,8 @@ mod tests {
     }
 
     /// An algorithm whose ingest blocks until a shared gate opens:
-    /// makes the worker deterministically slow so the work ring fills
-    /// and the full-ring backpressure policies are observable.
+    /// makes the worker deterministically slow so the work channel
+    /// fills and the full-channel backpressure policies are observable.
     struct Gated {
         open: Arc<std::sync::atomic::AtomicBool>,
         count: u64,
@@ -2643,6 +2596,57 @@ mod tests {
         assert_eq!(engine.query(&7), total, "Block delivers every packet");
         assert_eq!(engine.shed_packets(), 0);
         assert_eq!(engine.lost_packets(), 0);
+    }
+
+    #[test]
+    fn wedge_under_block_fails_the_blocked_send_instead_of_hanging() {
+        // The gated worker holds batch 1 while the dispatcher queues
+        // WORK_RING_CAPACITY more and blocks in `send` on the next. The
+        // gate opens only once that call has started; the worker then
+        // applies batch 1 and wedges on batch 2: it exits without
+        // panicking, its receiver drops, and the blocked send must fail
+        // (poisoning the shard) rather than wait on a channel nobody
+        // drains.
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut engine = ShardedEngine::from_shards(
+            vec![Gated {
+                open: Arc::clone(&gate),
+                count: 0,
+            }],
+            4,
+        );
+        engine.set_batch_capacity(1);
+        engine.set_fault_plan(&FaultPlan::new().with(0, 1, FaultKind::Wedge));
+        let opener = {
+            let gate = Arc::clone(&gate);
+            let calls = Arc::clone(&calls);
+            std::thread::spawn(move || {
+                while calls.load(Ordering::Acquire) < WORK_RING_CAPACITY as u64 + 2 {
+                    std::thread::yield_now();
+                }
+                gate.store(true, Ordering::Release);
+            })
+        };
+        let total = 20 * WORK_RING_CAPACITY as u64;
+        for _ in 0..total {
+            calls.fetch_add(1, Ordering::Release);
+            engine.insert_batch(&[7u64]);
+        }
+        opener.join().expect("opener thread");
+        let err = engine.flush().expect_err("a wedged worker reads as dead");
+        assert_eq!(err.shards, vec![0]);
+        // Exactly the first packet was applied; every other one was
+        // queued behind the wedge, blocked on it, or routed after it.
+        assert_eq!(engine.lost_packets(), total - 1);
+        assert_eq!(engine.shed_packets(), 0);
+    }
+
+    #[test]
+    fn engines_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ShardedEngine<u64, ParallelTopK<u64>>>();
+        assert_send_sync::<ShardedEngine<u64, crate::sliding::SlidingTopK<u64>>>();
     }
 
     fn checked_engine(width: usize, shards: usize) -> ShardedEngine<u64, ParallelTopK<u64>> {

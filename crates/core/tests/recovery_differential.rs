@@ -11,7 +11,7 @@
 //!    engine healthy after `recover()`: no poisoned shards, the
 //!    respawned shard bit-exact with its restoring checkpoint, and the
 //!    dark window reported with consistent packet accounting. Mid-walk
-//!    (torn state + poisoned mutex), wedge (closed ring) and repeated
+//!    (torn state + poisoned mutex), wedge (silent exit) and repeated
 //!    kills on one lane are covered too.
 //! 3. **Bounded loss** — a kill at every rotation of a windowed run
 //!    recovers within one epoch of dark window (plus transport slack)
@@ -246,8 +246,8 @@ fn wedged_worker_counts_as_death_and_recovers() {
     for chunk in stream.chunks(512) {
         engine.insert_batch(chunk);
     }
-    // A wedged worker closes its ring and stops consuming; the producer
-    // sees the closed ring as a death, never a hang.
+    // A wedged worker stops consuming and exits; the producer sees the
+    // disconnected channel as a death, never a hang.
     assert!(engine.flush().is_err(), "wedge must read as a dead shard");
     let reports = engine.recover().expect("wedged shard restores too");
     assert_eq!(reports.len(), 1);

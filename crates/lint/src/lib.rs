@@ -7,7 +7,10 @@
 //! (worker death is a recovery event), every crate root forbids
 //! `unsafe`, wire encoders never iterate hash-ordered collections, and
 //! the frame magics / wire versions referenced across encode, decode
-//! and test code agree with a single registry.
+//! and test code agree with a single registry. The configuration that
+//! scopes those rules is checked too: an entry naming a function or
+//! file that no longer exists is a finding, so a deletion or rename
+//! cannot silently drop coverage.
 //!
 //! The engine is a real lexer (raw strings, nested block comments,
 //! lifetimes vs chars — see [`lexer`]) feeding token-level rules (see
@@ -209,6 +212,7 @@ pub fn run_on(cfg: &LintConfig, files: &[SourceFile]) -> LintReport {
         rules::wire_determinism(cfg, f, &mut findings);
     }
     rules::wire_constant_consistency(cfg, files, &mut findings);
+    rules::stale_lint_config(cfg, files, &mut findings);
 
     // Meta findings: broken directives and allows naming unknown rules.
     for f in files {

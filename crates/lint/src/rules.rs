@@ -1,4 +1,4 @@
-//! The rule set: six invariant checks encoding this repository's real
+//! The rule set: the invariant checks encoding this repository's real
 //! design contracts (see `crates/lint/RULES.md` for the catalogue with
 //! rationale and examples).
 
@@ -36,6 +36,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-timing-in-hot-path",
         "per-packet ingest functions must not read the clock (Instant::now / SystemTime::now) — timing belongs at batch boundaries",
+    ),
+    (
+        "stale-lint-config",
+        "every configured hot, timing and worker entry must match a function or file the lint scans",
     ),
     (
         "suppression",
@@ -126,16 +130,9 @@ impl LintConfig {
                 // Every prepared-batch ingest implementation (PR 4).
                 ("", "insert_prepared_batch"),
                 // The prepared-batch prolog feeding them.
+                ("crates/common/src/prepared.rs", "prepare"),
                 ("crates/common/src/prepared.rs", "prepare_from"),
-                ("crates/common/src/prepared.rs", "prepare_into"),
-                // SPSC transport (PR 4): work and return rings.
-                ("crates/core/src/spsc.rs", "try_push"),
-                ("crates/core/src/spsc.rs", "try_pop"),
-                // The OVS shared ring mirrors the same discipline.
-                ("crates/ovs/src/ring.rs", "push_raw"),
-                ("crates/ovs/src/ring.rs", "try_push"),
-                ("crates/ovs/src/ring.rs", "try_pop"),
-                ("crates/ovs/src/ring.rs", "pop_batch"),
+                ("crates/common/src/prepared.rs", "fill_slots"),
                 // The zero-alloc dispatch plane (PR 4).
                 ("crates/core/src/sharded.rs", "dispatch_locked"),
                 ("crates/core/src/sharded.rs", "route_into"),
@@ -153,23 +150,15 @@ impl LintConfig {
                 ("crates/core/src/sketch.rs", "walk_parallel"),
                 ("crates/core/src/sketch.rs", "walk_minimum"),
                 ("", "insert_prepared_batch"),
+                ("crates/common/src/prepared.rs", "prepare"),
                 ("crates/common/src/prepared.rs", "prepare_from"),
-                ("crates/common/src/prepared.rs", "prepare_into"),
-                ("crates/core/src/spsc.rs", "try_push"),
-                ("crates/core/src/spsc.rs", "try_pop"),
-                ("crates/ovs/src/ring.rs", "push_raw"),
-                ("crates/ovs/src/ring.rs", "try_push"),
-                ("crates/ovs/src/ring.rs", "try_pop"),
-                ("crates/ovs/src/ring.rs", "pop_batch"),
+                ("crates/common/src/prepared.rs", "fill_slots"),
                 ("crates/core/src/sharded.rs", "route_into"),
                 ("crates/core/src/sharded.rs", "send_to_shard"),
                 ("crates/core/src/sharded.rs", "take_buffer"),
                 ("crates/core/src/reshard.rs", "lane_to_shard"),
             ]),
-            worker_files: vec![
-                "crates/core/src/fault.rs".into(),
-                "crates/core/src/spsc.rs".into(),
-            ],
+            worker_files: vec!["crates/core/src/fault.rs".into()],
             worker_functions: pairs(&[
                 ("crates/core/src/sharded.rs", "worker_loop"),
                 ("crates/core/src/sharded.rs", "spawn_shard"),
@@ -814,6 +803,56 @@ pub fn wire_constant_consistency(
                     );
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule: stale-lint-config (cross-file)
+// ---------------------------------------------------------------------------
+
+/// The `rel` of a stale-config finding: the entry lives in the
+/// [`LintConfig`], not in any scanned file, so it has no source line
+/// (line 0) and no inline allow can cover it — fix the config instead.
+pub const CONFIG_REL: &str = "<lint config>";
+
+/// Flags every configured hot, timing or worker entry that matches no
+/// function or file the rules scan. Without this check, deleting or
+/// renaming a listed function silently drops its lint coverage.
+pub fn stale_lint_config(cfg: &LintConfig, files: &[SourceFile], findings: &mut Vec<Finding>) {
+    let scanned = || files.iter().filter(|f| !is_test_path(&f.rel));
+    let fn_sets = [
+        ("hot_functions", &cfg.hot_functions),
+        ("timing_hot_functions", &cfg.timing_hot_functions),
+        ("worker_functions", &cfg.worker_functions),
+    ];
+    let mut stale = |message: String| {
+        findings.push(Finding {
+            rule: "stale-lint-config",
+            rel: CONFIG_REL.to_string(),
+            line: 0,
+            message,
+        })
+    };
+    for (set, entries) in fn_sets {
+        for (path, name) in entries {
+            let live = scanned().any(|f| {
+                (path.is_empty() || f.rel.contains(path.as_str()))
+                    && f.fns.iter().any(|span| &span.name == name)
+            });
+            if !live {
+                let scope = if path.is_empty() { "any file" } else { path };
+                stale(format!(
+                    "{set} entry `{name}` ({scope}) matches no function the lint scans — update the entry so the function keeps its coverage"
+                ));
+            }
+        }
+    }
+    for path in &cfg.worker_files {
+        if !scanned().any(|f| f.rel.contains(path.as_str())) {
+            stale(format!(
+                "worker_files entry `{path}` matches no file the lint scans — update the entry so the file keeps its coverage"
+            ));
         }
     }
 }

@@ -127,3 +127,44 @@ fn forbid_unsafe_pinned_fixture() {
     let report = check("forbid_ok/src/lib.rs", &cfg);
     assert!(report.is_clean());
 }
+
+#[test]
+fn stale_lint_config_fixture() {
+    // Live entries (the fixture's functions, its own file) are silent;
+    // every entry naming a function or file that does not exist is one
+    // finding, pinned to the config rather than to a source line.
+    let (file, expected) = load("stale.rs");
+    assert!(expected.is_empty(), "stale.rs carries no line findings");
+    let pairs = |v: &[(&str, &str)]| -> Vec<(String, String)> {
+        v.iter()
+            .map(|(p, n)| (p.to_string(), n.to_string()))
+            .collect()
+    };
+    let mut cfg = LintConfig::bare(fixtures_root());
+    cfg.hot_functions = pairs(&[("", "hot_insert"), ("", "deleted_walk")]);
+    cfg.timing_hot_functions = pairs(&[("stale.rs", "hot_insert"), ("gone.rs", "hot_insert")]);
+    cfg.worker_functions = pairs(&[("stale.rs", "worker_step"), ("", "removed_worker")]);
+    cfg.worker_files = vec!["stale.rs".into(), "deleted.rs".into()];
+    let report = run_on(&cfg, std::slice::from_ref(&file));
+    let mut got: Vec<String> = report
+        .findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.rule, "stale-lint-config", "{f}");
+            assert_eq!((f.rel.as_str(), f.line), (hk_lint::rules::CONFIG_REL, 0));
+            f.message.split(" matches").next().unwrap_or("").to_string()
+        })
+        .collect();
+    got.sort();
+    assert_eq!(
+        got,
+        [
+            "hot_functions entry `deleted_walk` (any file)",
+            "timing_hot_functions entry `hot_insert` (gone.rs)",
+            "worker_files entry `deleted.rs`",
+            "worker_functions entry `removed_worker` (any file)",
+        ],
+        "\n{}",
+        report.render_text()
+    );
+}

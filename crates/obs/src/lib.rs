@@ -6,8 +6,9 @@
 //! subsystems now also report through:
 //!
 //! * **Stage counters** ([`StageCounters`], [`ShardObs`]) — relaxed,
-//!   cache-line-padded atomics covering dispatch, ring push/pop, worker
-//!   ingest, rotate, export, checkpoint, recovery and reshard phases.
+//!   cache-line-padded atomics covering dispatch, channel
+//!   send/receive, worker ingest, rotate, export, checkpoint, recovery
+//!   and reshard phases.
 //!   One `fetch_add(Relaxed)` per *batch* on the hot path, never per
 //!   packet.
 //! * **Log2 histograms** ([`Log2Hist`]) — 64 power-of-two buckets with
@@ -19,9 +20,10 @@
 //!   typed [`Event`]s (worker death, recovery, reshard phase
 //!   transitions, eviction/readmission, resync, shed) with monotonic
 //!   sequence numbers and drop accounting when the ring overwrites.
-//! * **Exposition** ([`MetricsRegistry`], [`Snapshot`]) — a coherent
-//!   point-in-time snapshot rendered as Prometheus-style text or the
-//!   repo's hand-rolled JSON. `hk run --stats-json PATH` and the
+//! * **Exposition** ([`ObsHub::snapshot`], [`Snapshot`]) — a coherent
+//!   point-in-time snapshot rendered as Prometheus-style text
+//!   ([`Snapshot::render_prometheus`]) or the repo's hand-rolled JSON
+//!   ([`Snapshot::render_json`]). `hk run --stats-json PATH` and the
 //!   periodic `hk fleet` stat lines are thin wrappers over
 //!   [`ObsHub::snapshot`]; a future `hk serve` plane serves the same
 //!   API.
@@ -77,7 +79,7 @@ impl Counter {
     }
 
     /// Overwrites the value — for gauge-style publication of totals
-    /// owned elsewhere (ring push/pop counts, lost/shed packets).
+    /// owned elsewhere (channel send/receive counts, lost/shed packets).
     #[inline]
     pub fn set(&self, n: u64) {
         self.v.store(n, Ordering::Relaxed);
@@ -89,7 +91,7 @@ impl Counter {
 /// `dispatch_*`, `checkpoints`, `rotations`, `exports`, `recoveries`
 /// and `reshard_*` are true counters incremented at the named stage.
 /// `ring_pushes`/`ring_pops`/`lost_packets`/`shed_packets` are
-/// *published gauges*: the engine owns those totals (rings are
+/// *published gauges*: the engine owns those totals (channels are
 /// replaced wholesale on respawn/reshard) and stores them into the hub
 /// when asked for a snapshot.
 #[derive(Debug, Default)]
@@ -110,9 +112,9 @@ pub struct StageCounters {
     pub reshards: Counter,
     /// Reshard phase transitions (drain/rebuild/swap/rollback).
     pub reshard_phases: Counter,
-    /// Gauge: total successful SPSC ring pushes (work + recycle).
+    /// Gauge: messages sent on the shard channels (work + recycle).
     pub ring_pushes: Counter,
-    /// Gauge: total successful SPSC ring pops (work + recycle).
+    /// Gauge: messages received on the shard channels (work + recycle).
     pub ring_pops: Counter,
     /// Gauge: packets lost to dead shards (engine `lost_packets`).
     pub lost_packets: Counter,
@@ -124,7 +126,7 @@ pub struct StageCounters {
 /// thread (so relaxed increments are uncontended).
 #[derive(Debug, Default)]
 pub struct ShardObs {
-    /// Sub-batches drained from the work ring and ingested.
+    /// Sub-batches drained from the work channel and ingested.
     pub ingest_batches: Counter,
     /// Packets ingested (counted once per drained batch).
     pub ingest_packets: Counter,
@@ -880,43 +882,6 @@ impl Snapshot {
     }
 }
 
-/// The exposition front-end: holds a hub and renders snapshots.
-///
-/// This is the API a resident `hk serve` plane will serve: construct
-/// one registry per engine/fleet, call [`MetricsRegistry::snapshot`]
-/// per scrape, render in whichever format the client asked for.
-#[derive(Debug, Clone)]
-pub struct MetricsRegistry {
-    hub: Arc<ObsHub>,
-}
-
-impl MetricsRegistry {
-    /// Wraps a hub for exposition.
-    pub fn new(hub: Arc<ObsHub>) -> Self {
-        Self { hub }
-    }
-
-    /// The underlying hub.
-    pub fn hub(&self) -> &Arc<ObsHub> {
-        &self.hub
-    }
-
-    /// A coherent point-in-time snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        self.hub.snapshot()
-    }
-
-    /// Snapshot rendered as hand-rolled JSON.
-    pub fn render_json(&self) -> String {
-        self.snapshot().render_json()
-    }
-
-    /// Snapshot rendered as Prometheus-style text.
-    pub fn render_prometheus(&self) -> String {
-        self.snapshot().render_prometheus()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1072,6 +1037,7 @@ mod tests {
     fn json_render_parses_shape_and_counts() {
         let hub = ObsHub::new();
         hub.stages.dispatch_packets.add(5000);
+        hub.stages.exports.incr();
         hub.worker(0).shard.ingest_packets.add(5000);
         hub.dispatch_latency_ns.record(1500);
         hub.journal.record(EventKind::Recovery {
@@ -1083,8 +1049,11 @@ mod tests {
             to_shards: 4,
             stage: ReshardStage::Commit,
         });
-        let json = hub.snapshot().render_json();
+        let snap = hub.snapshot();
+        assert_eq!(snap.stages.exports, 1);
+        let json = snap.render_json();
         assert!(json.contains("\"dispatch_packets\": 5000"), "{json}");
+        assert!(json.contains("\"exports\": 1"), "{json}");
         assert!(json.contains("\"ingest_packets\": 5000"), "{json}");
         assert!(json.contains("\"kind\": \"recovery\""), "{json}");
         assert!(json.contains("\"dark_packets\": 42"), "{json}");
@@ -1099,24 +1068,16 @@ mod tests {
     fn prometheus_render_has_types_and_labels() {
         let hub = ObsHub::new();
         hub.stages.rotations.add(3);
+        hub.stages.exports.incr();
         hub.worker(1).shard.ingest_packets.add(9);
         hub.export_bytes.record(4096);
         hub.journal.record(EventKind::Eviction { switch: 5 });
         hub.journal.record(EventKind::Eviction { switch: 6 });
         let text = hub.snapshot().render_prometheus();
         assert!(text.contains("# TYPE hk_rotations counter\nhk_rotations 3"));
+        assert!(text.contains("hk_exports 1"));
         assert!(text.contains("hk_shard_ingest_packets{shard=\"1\"} 9"));
         assert!(text.contains("hk_export_bytes{quantile=\"0.99\"} 8191"));
         assert!(text.contains("hk_journal_events{kind=\"eviction\"} 2"));
-    }
-
-    #[test]
-    fn registry_wraps_hub() {
-        let hub = Arc::new(ObsHub::new());
-        hub.stages.exports.incr();
-        let reg = MetricsRegistry::new(Arc::clone(&hub));
-        assert_eq!(reg.snapshot().stages.exports, 1);
-        assert!(reg.render_json().contains("\"exports\": 1"));
-        assert!(reg.render_prometheus().contains("hk_exports 1"));
     }
 }

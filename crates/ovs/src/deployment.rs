@@ -7,30 +7,31 @@
 //! — is what Figure 34 compares across algorithms (plus a no-algorithm
 //! OVS baseline).
 //!
-//! The consumer is **batch-first**: it drains up to
-//! [`CONSUMER_BATCH`] flow IDs per ring visit and feeds them to the
-//! algorithm through one
+//! The shared ring is a bounded [`sync_channel`] whose slots are
+//! **bursts**: the datapath parses and forwards frames up to
+//! [`CONSUMER_BATCH`] at a time and mirrors each burst's flow IDs as one
+//! message, so the two threads synchronize once per burst, not once per
+//! packet. Both ends block instead of spinning, and the datapath
+//! dropping its sender is the end-of-stream signal. The consumer is
+//! **batch-first**: each burst reaches the algorithm through one
 //! [`insert_batch`](hk_common::TopKAlgorithm::insert_batch) call, so the
-//! prepared-key prolog and bucket walk amortize over the whole drained
-//! batch. Batch size adapts to load automatically: under backpressure
-//! drains run full, on an idle ring they shrink to whatever arrived.
+//! prepared-key prolog and bucket walk amortize over the whole burst.
 
 use crate::datapath::{synthesize_frame, Datapath, FRAME_LEN};
-use crate::ring::SharedRing;
 use heavykeeper::SlidingTopK;
 use hk_common::algorithm::TopKAlgorithm;
 use hk_traffic::flow::FiveTuple;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
-/// Most flow IDs the consumer drains into one `insert_batch` call.
+/// Most flow IDs in one mirrored burst, and so in one `insert_batch`
+/// call on the consumer.
 pub const CONSUMER_BATCH: usize = 512;
 
 /// What the datapath does when the ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RingMode {
-    /// Spin until the consumer frees space — end-to-end throughput is
+    /// Block until the consumer frees space — end-to-end throughput is
     /// gated by the slower stage, like the paper's saturated pipeline.
     Backpressure,
     /// Drop the mirror (the packet is still forwarded). Measures how
@@ -46,7 +47,8 @@ pub struct DeploymentReport {
     pub mps: f64,
     /// Packets the datapath forwarded.
     pub forwarded: u64,
-    /// Flow IDs dropped at the ring (only in [`RingMode::DropWhenFull`]).
+    /// Flow IDs dropped at the ring (only in [`RingMode::DropWhenFull`],
+    /// which drops a whole burst when every slot is taken).
     pub dropped: u64,
     /// Packets the algorithm consumed.
     pub consumed: u64,
@@ -54,8 +56,48 @@ pub struct DeploymentReport {
     pub seconds: f64,
 }
 
+/// The shared ring for a region of `ring_capacity` flow IDs: bursts of
+/// up to [`CONSUMER_BATCH`] IDs (fewer when the region is smaller), as
+/// many as fit. Returns the two ends and the burst size.
+fn shared_ring(
+    ring_capacity: usize,
+) -> (SyncSender<Vec<FiveTuple>>, Receiver<Vec<FiveTuple>>, usize) {
+    assert!(ring_capacity > 0, "ring capacity must be positive");
+    let burst = CONSUMER_BATCH.min(ring_capacity);
+    let (tx, rx) = sync_channel(ring_capacity / burst);
+    (tx, rx, burst)
+}
+
+/// The datapath thread: parses and forwards frames a burst at a time
+/// and mirrors each burst's flow IDs into the ring under `mode`.
+/// Returns `(forwarded, dropped)`; the sender drops on return, which
+/// ends the consumer's stream.
+fn run_datapath(
+    frames: &[[u8; FRAME_LEN]],
+    ring: SyncSender<Vec<FiveTuple>>,
+    burst: usize,
+    mode: RingMode,
+) -> (u64, u64) {
+    let mut dp = Datapath::new();
+    let mut dropped = 0u64;
+    for chunk in frames.chunks(burst) {
+        let mut mirror = Vec::with_capacity(chunk.len());
+        dp.process_batch(chunk.iter().map(|f| f.as_slice()), &mut mirror);
+        let ids = mirror.len() as u64;
+        let delivered = match mode {
+            RingMode::Backpressure => ring.send(mirror).is_ok(),
+            RingMode::DropWhenFull => ring.try_send(mirror).is_ok(),
+        };
+        if !delivered {
+            dropped += ids;
+        }
+    }
+    (dp.forwarded(), dropped)
+}
+
 /// Runs the deployment over `flows`, feeding `algo` in the consumer
-/// thread. `ring_capacity` models the shared-memory region size.
+/// thread. `ring_capacity` models the shared-memory region size, in
+/// flow IDs.
 ///
 /// When `algo` is `None`, the consumer still drains the ring but runs no
 /// algorithm — the paper's "original OVS" baseline in Figure 34.
@@ -73,63 +115,24 @@ where
     A: TopKAlgorithm<FiveTuple> + Send,
 {
     assert!(!flows.is_empty(), "need packets to run");
+    let (tx, rx, burst) = shared_ring(ring_capacity);
 
     // Pre-synthesize frames so frame construction isn't measured.
     let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
 
-    let ring: Arc<SharedRing<FiveTuple>> = Arc::new(SharedRing::new(ring_capacity));
-    let done = Arc::new(AtomicBool::new(false));
-
     let start = Instant::now();
-    let mut forwarded = 0u64;
     let mut consumed = 0u64;
-
-    std::thread::scope(|s| {
-        // Datapath producer.
-        let producer_ring = Arc::clone(&ring);
-        let producer_done = Arc::clone(&done);
-        let producer = s.spawn(move || {
-            let mut dp = Datapath::new();
-            // Parse and forward frames a burst at a time, then mirror
-            // the burst's flow IDs into the ring.
-            let mut mirror: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-            for burst in frames.chunks(CONSUMER_BATCH) {
-                mirror.clear();
-                dp.process_batch(burst.iter().map(|f| f.as_slice()), &mut mirror);
-                for &ft in &mirror {
-                    match mode {
-                        RingMode::Backpressure => producer_ring.push_blocking(ft),
-                        RingMode::DropWhenFull => {
-                            let _ = producer_ring.try_push(ft);
-                        }
-                    }
-                }
-            }
-            producer_done.store(true, Ordering::Release);
-            dp.forwarded()
-        });
-
-        // User-space consumer (runs on this thread): batch-drain the
-        // ring and feed the algorithm whole batches.
-        let mut local_consumed = 0u64;
-        let mut batch: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-        loop {
-            batch.clear();
-            let taken = ring.pop_batch(&mut batch, CONSUMER_BATCH);
-            if taken == 0 {
-                if done.load(Ordering::Acquire) && ring.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
+    let (forwarded, dropped) = std::thread::scope(|s| {
+        let producer = s.spawn(|| run_datapath(&frames, tx, burst, mode));
+        // User-space consumer (runs on this thread): one burst, one
+        // `insert_batch`.
+        while let Ok(ids) = rx.recv() {
             if let Some(a) = algo.as_mut() {
-                a.insert_batch(&batch);
+                a.insert_batch(&ids);
             }
-            local_consumed += taken as u64;
+            consumed += ids.len() as u64;
         }
-        consumed = local_consumed;
-        forwarded = producer.join().expect("datapath thread");
+        producer.join().expect("datapath thread")
     });
 
     let seconds = start.elapsed().as_secs_f64();
@@ -137,7 +140,7 @@ where
         DeploymentReport {
             mps: consumed as f64 / seconds / 1e6,
             forwarded,
-            dropped: ring.dropped(),
+            dropped,
             consumed,
             seconds,
         },
@@ -160,14 +163,14 @@ pub struct WindowedDeploymentReport {
 }
 
 /// [`run_deployment`] with a sliding-window consumer that *feeds the
-/// telemetry exporter*: the user-space thread drains the ring in
-/// batches into `window`, rotates it every `epoch_packets` consumed
+/// telemetry exporter*: the user-space thread drains the ring's bursts
+/// into `window`, rotates it every `epoch_packets` consumed
 /// packets, and exports a frame at every boundary — an initial
 /// [`SlidingTopK::export_frame`] snapshot before the stream, then one
 /// [`SlidingTopK::export_delta`] per rotation (the steady-state
 /// O(sketch) export). The returned frames are ready for a collector.
 ///
-/// Export happens on the consumer thread between ring drains, exactly
+/// Export happens on the consumer thread between bursts, exactly
 /// where a deployed switch would serialize: the cost shows up in `mps`
 /// like every other consumer-side cost.
 ///
@@ -185,79 +188,50 @@ pub fn run_windowed_deployment(
 ) -> (WindowedDeploymentReport, SlidingTopK<FiveTuple>) {
     assert!(!flows.is_empty(), "need packets to run");
     assert!(epoch_packets > 0, "epoch length must be positive");
+    let (tx, rx, burst) = shared_ring(ring_capacity);
 
     let frames_budget = epoch_packets.min(u32::MAX as usize) as u32;
     let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
-    let ring: Arc<SharedRing<FiveTuple>> = Arc::new(SharedRing::new(ring_capacity));
-    let done = Arc::new(AtomicBool::new(false));
 
     let start = Instant::now();
-    let mut forwarded = 0u64;
     let mut consumed = 0u64;
     let mut exported: Vec<Vec<u8>> = Vec::new();
 
     // The delta stream starts from a full snapshot of the (empty) ring.
     exported.push(window.export_frame(switch_id, frames_budget));
 
-    std::thread::scope(|s| {
-        let producer_ring = Arc::clone(&ring);
-        let producer_done = Arc::clone(&done);
-        let producer = s.spawn(move || {
-            let mut dp = Datapath::new();
-            let mut mirror: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-            for burst in frames.chunks(CONSUMER_BATCH) {
-                mirror.clear();
-                dp.process_batch(burst.iter().map(|f| f.as_slice()), &mut mirror);
-                for &ft in &mirror {
-                    match mode {
-                        RingMode::Backpressure => producer_ring.push_blocking(ft),
-                        RingMode::DropWhenFull => {
-                            let _ = producer_ring.try_push(ft);
-                        }
-                    }
-                }
-            }
-            producer_done.store(true, Ordering::Release);
-            dp.forwarded()
-        });
-
-        // Consumer: batch-drain, rotate at period boundaries, export.
-        let mut local_consumed = 0u64;
+    let (forwarded, dropped) = std::thread::scope(|s| {
+        let producer = s.spawn(|| run_datapath(&frames, tx, burst, mode));
+        // Consumer: ingest bursts, rotate at period boundaries, export.
         let mut until_rotation = epoch_packets;
-        let mut batch: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-        loop {
-            batch.clear();
-            // Never drain past a period boundary: a rotation must land
-            // between packet `epoch_packets` and packet
-            // `epoch_packets + 1` of the sub-stream, exactly like the
-            // trace-driven windowed ingest.
-            let quota = CONSUMER_BATCH.min(until_rotation);
-            let taken = ring.pop_batch(&mut batch, quota);
-            if taken == 0 {
-                if done.load(Ordering::Acquire) && ring.is_empty() {
-                    break;
+        while let Ok(ids) = rx.recv() {
+            let mut rest = ids.as_slice();
+            while !rest.is_empty() {
+                // Never ingest past a period boundary: a rotation must
+                // land between packet `epoch_packets` and packet
+                // `epoch_packets + 1` of the sub-stream, exactly like
+                // the trace-driven windowed ingest, so a burst that
+                // straddles the boundary is split there.
+                let (now, later) = rest.split_at(rest.len().min(until_rotation));
+                window.insert_batch(now);
+                consumed += now.len() as u64;
+                until_rotation -= now.len();
+                rest = later;
+                if until_rotation == 0 {
+                    window.rotate();
+                    // A W = 1 ring has no closed epoch to delta (its
+                    // only slot is the accumulating one); fall back to a
+                    // full frame so every rotation still exports.
+                    exported.push(
+                        window
+                            .export_delta(switch_id, frames_budget)
+                            .unwrap_or_else(|| window.export_frame(switch_id, frames_budget)),
+                    );
+                    until_rotation = epoch_packets;
                 }
-                std::hint::spin_loop();
-                continue;
-            }
-            window.insert_batch(&batch);
-            local_consumed += taken as u64;
-            until_rotation -= taken;
-            if until_rotation == 0 {
-                window.rotate();
-                // A W = 1 ring has no closed epoch to delta (its only
-                // slot is the accumulating one); fall back to a full
-                // frame so every rotation still exports.
-                exported.push(
-                    window
-                        .export_delta(switch_id, frames_budget)
-                        .unwrap_or_else(|| window.export_frame(switch_id, frames_budget)),
-                );
-                until_rotation = epoch_packets;
             }
         }
-        consumed = local_consumed;
-        forwarded = producer.join().expect("datapath thread");
+        producer.join().expect("datapath thread")
     });
 
     let seconds = start.elapsed().as_secs_f64();
@@ -267,7 +241,7 @@ pub fn run_windowed_deployment(
             report: DeploymentReport {
                 mps: consumed as f64 / seconds / 1e6,
                 forwarded,
-                dropped: ring.dropped(),
+                dropped,
                 consumed,
                 seconds,
             },

@@ -7,21 +7,22 @@
 //! that pipeline per algorithm.
 //!
 //! We do not have OVS, DPDK, or a 40G testbed, so this crate builds the
-//! pipeline itself (see DESIGN.md §2): raw packet synthesis and header
-//! parsing ([`datapath`]), a bounded shared ring ([`ring`]), and a
-//! two-thread deployment that measures the same end-to-end throughput
-//! ([`deployment`]). The *relative* impact of each algorithm on pipeline
-//! throughput — the quantity Figure 34 compares — is preserved; absolute
-//! Mps obviously reflect this machine, as the paper's reflect theirs.
+//! pipeline itself: raw packet synthesis and header parsing
+//! ([`datapath`]); a two-thread deployment whose shared region is a
+//! bounded `std::sync::mpsc::sync_channel` and which measures the same
+//! end-to-end throughput ([`deployment`]); and the multi-queue RSS
+//! scale-out as a datapath feeding a
+//! [`ShardedEngine`](heavykeeper::ShardedEngine) ([`rss`]). The
+//! *relative* impact of each algorithm on pipeline throughput — the
+//! quantity Figure 34 compares — is preserved; absolute Mps obviously
+//! reflect this machine, as the paper's reflect theirs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod datapath;
 pub mod deployment;
-pub mod ring;
 pub mod rss;
 
 pub use datapath::{parse_packet, synthesize_frame, Datapath};
 pub use deployment::{run_deployment, DeploymentReport, RingMode};
-pub use ring::SharedRing;

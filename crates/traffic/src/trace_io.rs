@@ -12,11 +12,12 @@
 
 use crate::flow::{FiveTuple, SrcDst};
 use crate::synthetic::Trace;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"HKTR";
 const VERSION: u8 = 1;
+/// Header length: magic, version, kind, reserved, count.
+const HEADER_LEN: usize = 16;
 
 /// A flow-ID type that can be stored in a trace file.
 pub trait TraceRecord: Sized {
@@ -25,42 +26,46 @@ pub trait TraceRecord: Sized {
     /// Discriminator stored in the file header.
     const KIND: u8;
     /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
-    /// Decodes one record; `buf` is advanced by [`TraceRecord::WIDTH`].
-    fn decode(buf: &mut Bytes) -> Self;
+    fn encode(&self, buf: &mut Vec<u8>);
+    /// Decodes one record from exactly [`TraceRecord::WIDTH`] bytes.
+    fn decode(bytes: &[u8]) -> Self;
 }
 
 impl TraceRecord for u64 {
     const WIDTH: usize = 8;
     const KIND: u8 = 0;
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_le_bytes());
     }
-    fn decode(buf: &mut Bytes) -> Self {
-        buf.get_u64_le()
+    fn decode(bytes: &[u8]) -> Self {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(bytes);
+        u64::from_le_bytes(b)
     }
 }
 
 impl TraceRecord for u32 {
     const WIDTH: usize = 4;
     const KIND: u8 = 1;
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(*self);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_le_bytes());
     }
-    fn decode(buf: &mut Bytes) -> Self {
-        buf.get_u32_le()
+    fn decode(bytes: &[u8]) -> Self {
+        let mut b = [0u8; 4];
+        b.copy_from_slice(bytes);
+        u32::from_le_bytes(b)
     }
 }
 
 impl TraceRecord for FiveTuple {
     const WIDTH: usize = 13;
     const KIND: u8 = 2;
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.to_bytes());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bytes());
     }
-    fn decode(buf: &mut Bytes) -> Self {
+    fn decode(bytes: &[u8]) -> Self {
         let mut b = [0u8; 13];
-        buf.copy_to_slice(&mut b);
+        b.copy_from_slice(bytes);
         FiveTuple::from_bytes(&b)
     }
 }
@@ -68,28 +73,28 @@ impl TraceRecord for FiveTuple {
 impl TraceRecord for SrcDst {
     const WIDTH: usize = 8;
     const KIND: u8 = 3;
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.to_bytes());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bytes());
     }
-    fn decode(buf: &mut Bytes) -> Self {
+    fn decode(bytes: &[u8]) -> Self {
         let mut b = [0u8; 8];
-        buf.copy_to_slice(&mut b);
+        b.copy_from_slice(bytes);
         SrcDst::from_bytes(&b)
     }
 }
 
 /// Serializes a trace into bytes.
-pub fn to_bytes<K: TraceRecord>(trace: &Trace<K>) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + trace.packets.len() * K::WIDTH);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(K::KIND);
-    buf.put_u16_le(0); // Reserved.
-    buf.put_u64_le(trace.packets.len() as u64);
+pub fn to_bytes<K: TraceRecord>(trace: &Trace<K>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + trace.packets.len() * K::WIDTH);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.push(K::KIND);
+    buf.extend_from_slice(&0u16.to_le_bytes()); // Reserved.
+    buf.extend_from_slice(&(trace.packets.len() as u64).to_le_bytes());
     for p in &trace.packets {
         p.encode(&mut buf);
     }
-    buf.freeze()
+    buf
 }
 
 /// Errors from trace deserialization.
@@ -135,36 +140,44 @@ impl From<io::Error> for TraceIoError {
 }
 
 /// Deserializes a trace from bytes.
-pub fn from_bytes<K: TraceRecord>(mut data: Bytes, name: &str) -> Result<Trace<K>, TraceIoError> {
-    if data.remaining() < 16 {
+pub fn from_bytes<K: TraceRecord>(
+    data: impl AsRef<[u8]>,
+    name: &str,
+) -> Result<Trace<K>, TraceIoError> {
+    let data = data.as_ref();
+    let Some((header, body)) = data.split_first_chunk::<HEADER_LEN>() else {
         return Err(TraceIoError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    if &header[..4] != MAGIC {
         return Err(TraceIoError::BadMagic);
     }
-    let version = data.get_u8();
+    let version = header[4];
     if version != VERSION {
         return Err(TraceIoError::BadVersion(version));
     }
-    let kind = data.get_u8();
+    let kind = header[5];
     if kind != K::KIND {
         return Err(TraceIoError::KindMismatch {
             stored: kind,
             requested: K::KIND,
         });
     }
-    let _reserved = data.get_u16_le();
-    let count = data.get_u64_le() as usize;
-    if data.remaining() < count * K::WIDTH {
-        return Err(TraceIoError::Truncated);
-    }
-    let mut packets = Vec::with_capacity(count);
-    for _ in 0..count {
-        packets.push(K::decode(&mut data));
-    }
-    Ok(Trace::new(name, packets))
+    let mut count = [0u8; 8];
+    count.copy_from_slice(&header[8..]);
+    // A corrupt count must not wrap the length check (and then ask for
+    // an impossible allocation): an unrepresentable size is truncation.
+    let body_len = usize::try_from(u64::from_le_bytes(count))
+        .ok()
+        .and_then(|count| count.checked_mul(K::WIDTH))
+        .filter(|&len| len <= body.len())
+        .ok_or(TraceIoError::Truncated)?;
+    Ok(Trace::new(
+        name,
+        body[..body_len]
+            .chunks_exact(K::WIDTH)
+            .map(K::decode)
+            .collect(),
+    ))
 }
 
 /// Writes a trace to any `Write` sink.
@@ -183,7 +196,7 @@ pub fn read_trace<K: TraceRecord, R: Read>(
 ) -> Result<Trace<K>, TraceIoError> {
     let mut data = Vec::new();
     r.read_to_end(&mut data)?;
-    from_bytes(Bytes::from(data), name)
+    from_bytes(data, name)
 }
 
 #[cfg(test)]
@@ -221,7 +234,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let r: Result<Trace<u64>, _> = from_bytes(Bytes::from_static(b"NOPE000000000000"), "x");
+        let r: Result<Trace<u64>, _> = from_bytes(b"NOPE000000000000", "x");
         assert_eq!(r.unwrap_err(), TraceIoError::BadMagic);
     }
 
@@ -243,14 +256,25 @@ mod tests {
     fn truncated_rejected() {
         let t = Trace::new("t", vec![1u64, 2, 3]);
         let b = to_bytes(&t);
-        let cut = b.slice(0..b.len() - 4);
-        let r: Result<Trace<u64>, _> = from_bytes(cut, "t");
+        let r: Result<Trace<u64>, _> = from_bytes(&b[..b.len() - 4], "t");
         assert_eq!(r.unwrap_err(), TraceIoError::Truncated);
     }
 
     #[test]
     fn short_header_rejected() {
-        let r: Result<Trace<u64>, _> = from_bytes(Bytes::from_static(b"HK"), "x");
+        let r: Result<Trace<u64>, _> = from_bytes(b"HK", "x");
+        assert_eq!(r.unwrap_err(), TraceIoError::Truncated);
+    }
+
+    #[test]
+    fn overflowing_record_count_is_truncation_not_a_panic() {
+        // 2^61 + 1 u64 records: `count * 8` wraps to 8, which would pass
+        // an unchecked length check and then request an impossible
+        // allocation.
+        let mut b = to_bytes(&Trace::new("t", vec![1u64, 2, 3]));
+        assert_eq!(b.len(), 40);
+        b[8..16].copy_from_slice(&((1u64 << 61) + 1).to_le_bytes());
+        let r: Result<Trace<u64>, _> = from_bytes(b, "t");
         assert_eq!(r.unwrap_err(), TraceIoError::Truncated);
     }
 
