@@ -17,6 +17,13 @@
 use crate::hash::FastHashMap;
 use std::hash::Hash;
 
+/// Most entries a bounded structure reserves up front. A capacity is a
+/// bound, not a size: a summary holds only the keys it has been offered,
+/// and a capacity decoded from a wire payload is sender-controlled —
+/// reserving it whole would let a 1.5 kB frame demand gigabytes. Larger
+/// summaries grow on demand past this.
+pub(crate) const MAX_RESERVE: usize = 1024;
+
 /// Slab index newtype for item nodes. `usize::MAX` is used as "none" in
 /// the intrusive links (kept private).
 const NIL: usize = usize::MAX;
@@ -74,14 +81,15 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        let reserve = capacity.min(MAX_RESERVE);
         Self {
-            items: Vec::with_capacity(capacity),
+            items: Vec::with_capacity(reserve),
             free_items: Vec::new(),
-            buckets: Vec::with_capacity(capacity.min(1024)),
+            buckets: Vec::with_capacity(reserve),
             free_buckets: Vec::new(),
             min_bucket: NIL,
             max_bucket: NIL,
-            index: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: FastHashMap::with_capacity_and_hasher(reserve, Default::default()),
             capacity,
         }
     }

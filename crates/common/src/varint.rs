@@ -11,7 +11,9 @@
 //!   `(zero_run, literal_run, literal words…)` pairs: runs of all-zero
 //!   `u64` bitmap words (the common case — most buckets hold mice or
 //!   nothing and never change between exports) collapse to one varint,
-//!   while words with any bit set ship raw (8 bytes LE).
+//!   while words with any bit set ship raw (8 bytes LE). The decoder
+//!   returns only the set words with their indices, so its memory is
+//!   bounded by the payload, not by the declared bitmap length.
 //!
 //! Decoders return `None` on any truncation, overflow, or non-canonical
 //! input (a literal run containing an all-zero word, a `(0, 0)` pair
@@ -91,23 +93,28 @@ pub fn write_bitmap_rle(out: &mut Vec<u8>, words: &[u64]) {
 }
 
 /// Reads a [`write_bitmap_rle`] bitmap of exactly `words` `u64`s from
-/// `data` starting at `*pos`, clearing and filling `out`. `None` on
-/// truncation, runs overshooting `words`, a zero word inside a literal
-/// run, or a `(0, 0)` group (no progress — the encoder never emits one).
+/// `data` starting at `*pos`, clearing `out` and filling it with the
+/// bitmap's non-zero words as `(word index, word)` pairs in ascending
+/// index order. Zero runs are skipped, never materialized: `words` comes
+/// from a sender-controlled header, so `out` holds only literal words
+/// the payload actually carries (8 bytes each). `None` on truncation,
+/// runs overshooting `words`, a zero word inside a literal run, or a
+/// `(0, 0)` group (no progress — the encoder never emits one).
 pub fn read_bitmap_rle(
     data: &[u8],
     pos: &mut usize,
     words: usize,
-    out: &mut Vec<u64>,
+    out: &mut Vec<(usize, u64)>,
 ) -> Option<()> {
     out.clear();
-    while out.len() < words {
-        let left = (words - out.len()) as u64;
+    let mut covered = 0usize;
+    while covered < words {
+        let left = (words - covered) as u64;
         let zeros = read_u64(data, pos)?;
         if zeros > left {
             return None;
         }
-        out.resize(out.len() + zeros as usize, 0);
+        covered += zeros as usize;
         let lits = read_u64(data, pos)?;
         if lits > left - zeros {
             return None;
@@ -122,7 +129,8 @@ pub fn read_bitmap_rle(
             if w == 0 {
                 return None;
             }
-            out.push(w);
+            out.push((covered, w));
+            covered += 1;
             *pos = end;
         }
     }
@@ -180,12 +188,17 @@ mod tests {
         let mut buf = Vec::new();
         write_bitmap_rle(&mut buf, words);
         let mut pos = 0;
-        let mut back = Vec::new();
+        let mut set = Vec::new();
         assert_eq!(
-            read_bitmap_rle(&buf, &mut pos, words.len(), &mut back),
+            read_bitmap_rle(&buf, &mut pos, words.len(), &mut set),
             Some(())
         );
+        let mut back = vec![0u64; words.len()];
+        for &(i, w) in &set {
+            back[i] = w;
+        }
         assert_eq!(back, words);
+        assert_eq!(set.len(), words.iter().filter(|&&w| w != 0).count());
         assert_eq!(pos, buf.len(), "decode must consume exactly the encoding");
     }
 
@@ -210,6 +223,19 @@ mod tests {
         let mut buf = Vec::new();
         write_bitmap_rle(&mut buf, &[0u64; 4096]);
         assert_eq!(buf.len(), encoded_len(4096) + 1);
+    }
+
+    #[test]
+    fn huge_zero_bitmap_decodes_without_materializing() {
+        // A declared length far past any real sketch width: one zero
+        // run covers it, and decoding allocates nothing for it.
+        let words = u32::MAX as usize;
+        let mut buf = Vec::new();
+        write_u64(&mut buf, words as u64);
+        write_u64(&mut buf, 0);
+        let mut out = Vec::new();
+        assert_eq!(read_bitmap_rle(&buf, &mut 0, words, &mut out), Some(()));
+        assert!(out.is_empty() && out.capacity() == 0);
     }
 
     #[test]

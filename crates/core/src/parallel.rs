@@ -96,6 +96,12 @@ impl<K: FlowKey> ParallelTopK<K> {
         }
     }
 
+    /// Number of flows in the top-k store (what `top_k().len()` would
+    /// return, without building the list).
+    pub(crate) fn store_len(&self) -> usize {
+        self.store.len()
+    }
+
     /// The configuration this instance was built with.
     pub fn config(&self) -> &HkConfig {
         &self.cfg

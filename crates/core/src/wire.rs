@@ -25,6 +25,7 @@
 //! by expansion are preserved because the encoded config carries the
 //! *current* array count).
 
+use crate::bucket::{Bucket, PackedLayout};
 use crate::config::{ExpansionPolicy, HkConfig, StoreKind};
 use crate::decay::DecayFn;
 use crate::parallel::ParallelTopK;
@@ -33,6 +34,17 @@ use hk_common::key::FlowKey;
 
 const MAGIC: &[u8; 4] = b"HKSK";
 const VERSION: u8 = 1;
+
+/// Bytes of a v1 payload before the bucket matrix when the config has
+/// no expansion policy: magic, version, key width, then `arrays`,
+/// `width`, `k`, both field widths, `seed`, the decay tag + parameter,
+/// the store kind and the expansion flag.
+const SKETCH_HEADER_LEN: usize = 37;
+/// Extra header bytes when the expansion flag is set (`large u64`,
+/// `blocked u64`, `max u16`).
+const EXPANSION_LEN: usize = 18;
+/// One bucket cell on the wire: `fp u32 LE | count u64 LE`.
+const CELL_LEN: usize = 12;
 
 /// Why a wire payload could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +149,21 @@ impl<K: FlowKey> ParallelTopK<K> {
         out
     }
 
+    /// Exact length of [`ParallelTopK::to_wire`]'s output, so encoders
+    /// size their buffer once instead of regrowing it.
+    pub(crate) fn wire_len(&self) -> usize {
+        let expansion = if self.config().expansion.is_some() {
+            EXPANSION_LEN
+        } else {
+            0
+        };
+        SKETCH_HEADER_LEN
+            + expansion
+            + self.sketch().matrix().data().len() * CELL_LEN
+            + 4
+            + self.store_len() * (K::ENCODED_LEN + 8)
+    }
+
     /// [`ParallelTopK::to_wire`], appended to an existing buffer — the
     /// windowed frame encoder streams every epoch payload straight into
     /// the frame through this, with no intermediate per-epoch `Vec`.
@@ -153,7 +180,7 @@ impl<K: FlowKey> ParallelTopK<K> {
             b.1.cmp(&a.1)
                 .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
         });
-        out.reserve(32 + sketch.arrays() * sketch.width() * 12 + top.len() * (K::ENCODED_LEN + 8));
+        out.reserve(self.wire_len());
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
         out.push(K::ENCODED_LEN as u8);
@@ -181,15 +208,11 @@ impl<K: FlowKey> ParallelTopK<K> {
             }
         }
 
-        // Bucket matrix, streamed row by row over the packed row views.
-        for j in 0..sketch.arrays() {
-            let layout = sketch.matrix().layout();
-            for &word in sketch.matrix().row(j) {
-                let b = layout.unpack(word);
-                out.extend_from_slice(&b.fp.to_le_bytes());
-                out.extend_from_slice(&b.count.to_le_bytes());
-            }
-        }
+        // Bucket matrix: one cell per packed word, row-major.
+        let matrix = sketch.matrix();
+        let at = out.len();
+        out.resize(at + matrix.data().len() * CELL_LEN, 0);
+        encode_cells(&mut out[at..], matrix.data(), matrix.layout());
 
         // Top-k store.
         out.extend_from_slice(&(top.len() as u32).to_le_bytes());
@@ -223,7 +246,7 @@ impl<K: FlowKey> ParallelTopK<K> {
         let ctr_bits = r.u8()? as u32;
         let seed = r.u64()?;
         let decay = decode_decay(&mut r)?;
-        let store = match r.u8()? {
+        let store_kind = match r.u8()? {
             0 => StoreKind::StreamSummary,
             1 => StoreKind::MinHeap,
             _ => return Err(WireError::Corrupt("store kind")),
@@ -252,6 +275,25 @@ impl<K: FlowKey> ParallelTopK<K> {
             return Err(WireError::Corrupt("field widths"));
         }
 
+        // Nothing is sized from the header until the payload proves it:
+        // the whole bucket matrix and every store entry must be present.
+        let cells = arrays
+            .checked_mul(width)
+            .and_then(|n| n.checked_mul(CELL_LEN))
+            .ok_or(WireError::Truncated)?;
+        let cells = r.take(cells)?;
+        let n = r.u32()? as usize;
+        if n > k {
+            return Err(WireError::Corrupt("store size"));
+        }
+        let store = n
+            .checked_mul(K::ENCODED_LEN + 8)
+            .ok_or(WireError::Truncated)?;
+        let store = r.take(store)?;
+        if r.pos != data.len() {
+            return Err(WireError::Corrupt("trailing bytes"));
+        }
+
         let mut builder = HkConfig::builder()
             .arrays(arrays)
             .width(width)
@@ -260,55 +302,29 @@ impl<K: FlowKey> ParallelTopK<K> {
             .counter_bits(ctr_bits)
             .seed(seed)
             .decay(decay)
-            .store(store);
+            .store(store_kind);
         if let Some(p) = expansion {
             builder = builder.expansion(p);
         }
         let mut hk = ParallelTopK::<K>::new(builder.build());
 
-        // Bucket matrix.
         let counter_max = hk.sketch().counter_max();
         let fp_max = if fp_bits == 32 {
             u32::MAX
         } else {
             (1u32 << fp_bits) - 1
         };
-        for j in 0..arrays {
-            for i in 0..width {
-                let mut cell = Reader {
-                    data: r.take(12)?,
-                    pos: 0,
-                };
-                let fp = cell.u32()?;
-                let count = cell.u64()?;
-                if fp > fp_max {
-                    return Err(WireError::Corrupt("bucket fingerprint"));
-                }
-                if count > counter_max {
-                    return Err(WireError::Corrupt("bucket counter"));
-                }
-                if count == 0 && fp != 0 {
-                    return Err(WireError::Corrupt("empty bucket with fingerprint"));
-                }
-                hk.sketch_mut()
-                    .set_bucket(j, i, crate::bucket::Bucket { fp, count });
-            }
-        }
+        let matrix = hk.sketch_mut().matrix_mut();
+        let layout = matrix.layout();
+        decode_cells(matrix.data_mut(), cells, layout, fp_max, counter_max)?;
 
         // Top-k store, re-offered largest-first so admissions succeed.
-        let n = r.u32()? as usize;
-        if n > k {
-            return Err(WireError::Corrupt("store size"));
-        }
         let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let kb = r.take(K::ENCODED_LEN)?;
+        for entry in store.chunks_exact(K::ENCODED_LEN + 8) {
+            let (kb, count) = entry.split_at(K::ENCODED_LEN);
             let key = K::from_key_bytes(kb).ok_or(WireError::KeyMismatch)?;
-            let count = r.u64()?;
+            let count = u64::from_le_bytes(count.try_into().expect("8-byte count"));
             entries.push((key, count));
-        }
-        if r.pos != data.len() {
-            return Err(WireError::Corrupt("trailing bytes"));
         }
         entries.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         for (key, count) in entries {
@@ -319,6 +335,44 @@ impl<K: FlowKey> ParallelTopK<K> {
         }
         Ok(hk)
     }
+}
+
+/// Writes one `fp u32 LE | count u64 LE` cell per packed word into
+/// `out`, which holds exactly `words.len()` cells.
+fn encode_cells(out: &mut [u8], words: &[u64], layout: PackedLayout) {
+    for (cell, &word) in out.chunks_exact_mut(CELL_LEN).zip(words) {
+        cell[..4].copy_from_slice(&layout.fp(word).to_le_bytes());
+        cell[4..].copy_from_slice(&layout.count(word).to_le_bytes());
+    }
+}
+
+/// Validates the wire cells and packs them into `words` (one cell per
+/// word): fingerprints and counters must fit their configured ranges,
+/// and an empty bucket carries no fingerprint.
+fn decode_cells(
+    words: &mut [u64],
+    cells: &[u8],
+    layout: PackedLayout,
+    fp_max: u32,
+    counter_max: u64,
+) -> Result<(), WireError> {
+    for (word, cell) in words.iter_mut().zip(cells.chunks_exact(CELL_LEN)) {
+        let fp = u32::from_le_bytes([cell[0], cell[1], cell[2], cell[3]]);
+        let count = u64::from_le_bytes([
+            cell[4], cell[5], cell[6], cell[7], cell[8], cell[9], cell[10], cell[11],
+        ]);
+        if fp > fp_max {
+            return Err(WireError::Corrupt("bucket fingerprint"));
+        }
+        if count > counter_max {
+            return Err(WireError::Corrupt("bucket counter"));
+        }
+        if count == 0 && fp != 0 {
+            return Err(WireError::Corrupt("empty bucket with fingerprint"));
+        }
+        *word = layout.pack(Bucket { fp, count });
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -485,7 +539,12 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// initial snapshot a delta stream starts from, and the resync
     /// payload after loss.
     pub fn export_frame(&self, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
-        let mut out: Vec<u8> = Vec::with_capacity(64 + self.live_epochs() * 1024);
+        let len = HEADER_LEN
+            + self
+                .epoch_iter()
+                .map(|e| RECORD_OVERHEAD + e.wire_len())
+                .sum::<usize>();
+        let mut out = Vec::with_capacity(len);
         encode_frame_header(
             &mut out,
             FrameKind::Full,
@@ -499,6 +558,7 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
         for epoch in self.epoch_iter() {
             encode_epoch_record(&mut out, epoch);
         }
+        debug_assert_eq!(out.len(), len, "frame sized exactly");
         self.note_export(out.len());
         out
     }
@@ -527,7 +587,8 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     pub fn export_delta(&self, switch_id: u64, epoch_packets: u32) -> Option<Vec<u8>> {
         // The newest closed epoch sits just behind the accumulating one.
         let closed = self.epoch_iter().rev().nth(1)?;
-        let mut out = Vec::with_capacity(64 + 1024);
+        let len = HEADER_LEN + RECORD_OVERHEAD + closed.wire_len();
+        let mut out = Vec::with_capacity(len);
         encode_frame_header(
             &mut out,
             FrameKind::Delta,
@@ -539,6 +600,7 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
             epoch_packets,
         );
         encode_epoch_record(&mut out, closed);
+        debug_assert_eq!(out.len(), len, "frame sized exactly");
         self.note_export(out.len());
         Some(out)
     }
@@ -639,6 +701,8 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
 
 /// Length of the fixed frame header (shared by full, delta and dirty).
 const HEADER_LEN: usize = 31;
+/// Per-record framing around a payload: `payload_len u32` and `crc32 u32`.
+const RECORD_OVERHEAD: usize = 8;
 
 /// Appends the dirty-patch record payload: the closed epoch diffed
 /// against the shadow, rows beyond the shadow (Section III-F expansion
@@ -686,15 +750,16 @@ fn encode_dirty_payload<K: FlowKey>(
 
 /// A decoded [`FrameKind::Dirty`] record: which buckets of the closed
 /// epoch changed since the previous export, and how — `old XOR new`
-/// packed words, stored densely (zero = unchanged) so
-/// [`DirtyPatch::apply`] is one XOR walk — plus the epoch's whole
-/// top-k store.
+/// packed words, kept as a list of changed buckets so decoding costs
+/// memory in proportion to the payload, never to the geometry its
+/// header claims — plus the epoch's whole top-k store.
 #[derive(Debug, Clone)]
 pub struct DirtyPatch<K: FlowKey> {
     rows: usize,
     width: usize,
-    /// `rows × width` XOR diffs, row-major; zero means unchanged.
-    words: Vec<u64>,
+    /// Changed buckets in row-major order: flat index `j * width + i`
+    /// and the non-zero XOR diff of its packed word.
+    changes: Vec<(usize, u64)>,
     store: Vec<(K, u64)>,
 }
 
@@ -731,17 +796,19 @@ impl<K: FlowKey> DirtyPatch<K> {
         }
         let (rows, width) = (rows as usize, width as usize);
         let bitmap_words = width.div_ceil(64);
-        let mut words = vec![0u64; rows * width];
-        let mut bitmap: Vec<u64> = Vec::with_capacity(bitmap_words);
+        // Each change consumes at least one diff byte and each set bitmap
+        // word eight literal bytes, so both lists are bounded by the
+        // payload whatever `rows × width` claims.
+        let mut changes = Vec::new();
+        let mut bitmap: Vec<(usize, u64)> = Vec::new();
         for j in 0..rows {
             varint::read_bitmap_rle(data, &mut pos, bitmap_words, &mut bitmap)
                 .ok_or(WireError::Corrupt("dirty bitmap"))?;
-            // Bits past `width` in the last bitmap word name no bucket.
-            if width % 64 != 0 && bitmap[bitmap_words - 1] >> (width % 64) != 0 {
-                return Err(WireError::Corrupt("dirty bitmap tail"));
-            }
-            let row = &mut words[j * width..(j + 1) * width];
-            for (w, &bits) in bitmap.iter().enumerate() {
+            for &(w, bits) in &bitmap {
+                // Bits past `width` in the last bitmap word name no bucket.
+                if w == bitmap_words - 1 && width % 64 != 0 && bits >> (width % 64) != 0 {
+                    return Err(WireError::Corrupt("dirty bitmap tail"));
+                }
                 let mut bits = bits;
                 while bits != 0 {
                     let i = w * 64 + bits.trailing_zeros() as usize;
@@ -753,7 +820,7 @@ impl<K: FlowKey> DirtyPatch<K> {
                         // its bitmap bit must not have been set.
                         return Err(WireError::Corrupt("zero dirty diff"));
                     }
-                    row[i] = diff;
+                    changes.push((j * width + i, diff));
                 }
             }
         }
@@ -784,7 +851,7 @@ impl<K: FlowKey> DirtyPatch<K> {
         Ok(Self {
             rows,
             width,
-            words,
+            changes,
             store,
         })
     }
@@ -834,11 +901,11 @@ impl<K: FlowKey> DirtyPatch<K> {
             hk.sketch_mut().matrix_mut().data_mut()[..shared]
                 .copy_from_slice(&src.data()[..shared]);
         }
+        // Decode bounded every index by `rows × width`, and the matrix
+        // was just built with exactly that geometry.
         let dst = hk.sketch_mut().matrix_mut().data_mut();
-        for (slot, &diff) in dst.iter_mut().zip(&self.words) {
-            if diff == 0 {
-                continue;
-            }
+        for &(at, diff) in &self.changes {
+            let slot = &mut dst[at];
             let word = *slot ^ diff;
             let b = layout.unpack(word);
             if b.fp > fp_max {
@@ -1200,6 +1267,35 @@ mod tests {
             ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
             WireError::Corrupt("field widths")
         );
+    }
+
+    #[test]
+    fn forged_width_is_truncation_not_an_allocation() {
+        // A ~1.5 kB payload claiming 2 × 2^30 buckets: the matrix must be
+        // proved present before the sketch is allocated (24 GB here).
+        let mut wire = populated(3).to_wire();
+        assert!(wire.len() < 2048);
+        // Header: 4 magic + 1 ver + 1 keylen + 2 arrays, then width.
+        wire[8..12].copy_from_slice(&0x4000_0000u32.to_le_bytes());
+        assert_eq!(
+            ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
+            WireError::Truncated
+        );
+    }
+
+    #[test]
+    fn forged_k_decodes_with_bounded_memory() {
+        // `k` is a capacity, not a size the payload must carry: the
+        // decoded store may grow to it but must not reserve it (2^30
+        // entries would be tens of GB).
+        let hk = populated(3);
+        let mut wire = hk.to_wire();
+        wire[12..16].copy_from_slice(&0x4000_0000u32.to_le_bytes());
+        let back = ParallelTopK::<u64>::from_wire(&wire).unwrap();
+        assert_eq!(back.config().k, 0x4000_0000);
+        for f in 0..1200u64 {
+            assert_eq!(hk.query(&f), back.query(&f), "flow {f}");
+        }
     }
 
     #[test]
@@ -1742,12 +1838,11 @@ mod tests {
         // is internally consistent on its own — only apply-time
         // validation against the actual baseline can catch this.
         let cfg = HkConfig::builder().width(64).k(4).seed(1).build();
-        let mut words = vec![0u64; 64];
-        words[3] = 1u64 << 32; // fp = 1, count = 0 against a zero base
         let patch = DirtyPatch::<u64> {
             rows: 1,
             width: 64,
-            words,
+            // Bucket 3: fp = 1, count = 0 against a zero base.
+            changes: vec![(3, 1u64 << 32)],
             store: Vec::new(),
         };
         assert_eq!(
@@ -1802,6 +1897,49 @@ mod tests {
             .unwrap();
         assert!(coll.resync_needed().is_empty());
         assert_windows_bit_equal(&win, coll.switch_window(2).unwrap());
+    }
+
+    #[test]
+    fn forged_dirty_width_decodes_with_bounded_memory() {
+        // A 55-byte v3 frame with a valid CRC claiming one row of
+        // u32::MAX buckets and no changes: the patch must not be sized
+        // from that claim (a dense diff would be 32 GB, its bitmap
+        // 512 MB). It decodes to an empty change list, and the collector
+        // rejects it on geometry against the replica.
+        use crate::collector::{AggregationRule, Collector, WindowSubmitError};
+        let width = u32::MAX as u64;
+        let mut out = Vec::new();
+        encode_frame_header(&mut out, FrameKind::Dirty, 8, 2, 2, 3, 1, 3000);
+        let len_at = out.len();
+        out.extend_from_slice(&[0u8; 4]);
+        let payload_at = out.len();
+        out.extend_from_slice(DIRTY_MAGIC);
+        hk_common::varint::write_u64(&mut out, 1); // rows
+        hk_common::varint::write_u64(&mut out, width);
+        hk_common::varint::write_u64(&mut out, width.div_ceil(64)); // zero run
+        hk_common::varint::write_u64(&mut out, 0); // no literals
+        hk_common::varint::write_u64(&mut out, 0); // empty store
+        let payload_len = out.len() - payload_at;
+        out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        let crc = hk_common::crc::crc32(&out[payload_at..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(out.len(), 55);
+
+        let frame = WindowFrame::<u64>::decode(&out).unwrap();
+        let patch = frame.patch.expect("dirty frame");
+        assert_eq!(patch.width(), u32::MAX as usize);
+        assert!(patch.changes.is_empty());
+
+        let cfg = HkConfig::builder().width(64).k(4).seed(8).build();
+        let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
+        feed_and_rotate(&mut win, 1, 0);
+        let mut coll = Collector::<u64>::new(4, AggregationRule::Sum);
+        coll.submit_window_frame(&win.export_frame(2, 3000))
+            .unwrap();
+        assert_eq!(
+            coll.submit_window_frame(&out).unwrap_err(),
+            WindowSubmitError::Mismatch { switch: 2 }
+        );
     }
 
     #[test]

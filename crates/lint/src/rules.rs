@@ -140,11 +140,16 @@ impl LintConfig {
                 ("crates/core/src/sharded.rs", "take_buffer"),
                 // Lane routing shared by dispatch and reshard (PR 9).
                 ("crates/core/src/reshard.rs", "lane_to_shard"),
+                // The wire codec kernels every checkpoint, restore and
+                // frame export runs per byte / per bucket.
+                ("crates/common/src/crc.rs", "crc32"),
+                ("crates/core/src/wire.rs", "encode_cells"),
+                ("crates/core/src/wire.rs", "decode_cells"),
             ]),
-            // The per-packet subset of the hot set: everything above
-            // except the batch-boundary dispatch/worker code, which
-            // stamps one Instant per *batch* for the obs latency
-            // histogram (PR 10) and is allowed to.
+            // The per-packet and per-byte subset of the hot set:
+            // everything above except the batch-boundary dispatch/worker
+            // code, which stamps one Instant per *batch* for the obs
+            // latency histogram (PR 10) and is allowed to.
             timing_hot_functions: pairs(&[
                 ("crates/core/src/sketch.rs", "insert_basic_keyed"),
                 ("crates/core/src/sketch.rs", "walk_parallel"),
@@ -157,6 +162,9 @@ impl LintConfig {
                 ("crates/core/src/sharded.rs", "send_to_shard"),
                 ("crates/core/src/sharded.rs", "take_buffer"),
                 ("crates/core/src/reshard.rs", "lane_to_shard"),
+                ("crates/common/src/crc.rs", "crc32"),
+                ("crates/core/src/wire.rs", "encode_cells"),
+                ("crates/core/src/wire.rs", "decode_cells"),
             ]),
             worker_files: vec!["crates/core/src/fault.rs".into()],
             worker_functions: pairs(&[
