@@ -329,24 +329,29 @@ impl BucketMatrix {
     /// added by Section III-F expansion since the snapshot), filling
     /// `bitmap` with one bit per bucket — set iff the packed words
     /// differ — and returning the changed-bucket count. `bitmap` is
-    /// resized to `width.div_ceil(64)` words; trailing bits past
-    /// `width` stay zero. Plain u64 compares over the packed row view:
-    /// this is the dirty-delta exporter's whole read path, and it never
-    /// touches ingest.
+    /// refilled with `width.div_ceil(64)` words; trailing bits past
+    /// `width` stay zero. Each bitmap word is assembled from 64 plain
+    /// u64 compares with no data-dependent branch and counted with
+    /// `count_ones`: this is the dirty-delta exporter's whole read path,
+    /// and it never touches ingest.
     pub fn diff_row_bitmap(&self, j: usize, base: Option<&[u64]>, bitmap: &mut Vec<u64>) -> usize {
+        /// The all-empty baseline, one bitmap word's worth.
+        const EMPTY: [u64; 64] = [0; 64];
+        let row = self.row(j);
         if let Some(base) = base {
             debug_assert_eq!(base.len(), self.width, "baseline row width");
         }
         bitmap.clear();
-        bitmap.resize(self.width.div_ceil(64), 0);
-        let row = self.row(j);
+        bitmap.reserve(row.len().div_ceil(64));
         let mut changed = 0usize;
-        for (i, &new) in row.iter().enumerate() {
-            let old = base.map_or(0, |b| b[i]);
-            if old != new {
-                bitmap[i / 64] |= 1u64 << (i % 64);
-                changed += 1;
+        for (n, new) in row.chunks(64).enumerate() {
+            let old = base.map_or(&EMPTY[..new.len()], |b| &b[n * 64..n * 64 + new.len()]);
+            let mut word = 0u64;
+            for (k, (a, b)) in new.iter().zip(old).enumerate() {
+                word |= u64::from(a != b) << k;
             }
+            changed += word.count_ones() as usize;
+            bitmap.push(word);
         }
         changed
     }
@@ -487,6 +492,50 @@ mod tests {
         assert_eq!(m.row(1)[0], m.word(1, 0));
         let flat: Vec<u64> = m.row(0).iter().chain(m.row(1)).copied().collect();
         assert_eq!(flat, m.data());
+    }
+
+    #[test]
+    fn diff_row_bitmap_matches_naive_reference() {
+        let mut state = 0xd1ff_5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut bitmap = Vec::new();
+        for width in [1usize, 63, 64, 65, 129, 32_618] {
+            let mut m = BucketMatrix::new(2, width, PackedLayout::new(16, 16));
+            for j in 0..2 {
+                for i in 0..width {
+                    // Roughly a third of the buckets held.
+                    if next() % 3 == 0 {
+                        m.set_word(j, i, next() | 1);
+                    }
+                }
+            }
+            // A baseline sharing about half of row 0's words.
+            let base: Vec<u64> = m
+                .row(0)
+                .iter()
+                .map(|&w| if next() % 2 == 0 { w } else { next() % 4 })
+                .collect();
+            for j in 0..2 {
+                for b in [None, Some(&base[..])] {
+                    let changed = m.diff_row_bitmap(j, b, &mut bitmap);
+                    let mut want = vec![0u64; width.div_ceil(64)];
+                    let mut count = 0;
+                    for (i, &new) in m.row(j).iter().enumerate() {
+                        if b.map_or(0, |b| b[i]) != new {
+                            want[i / 64] |= 1 << (i % 64);
+                            count += 1;
+                        }
+                    }
+                    assert_eq!(bitmap, want, "width {width}, row {j}, base {}", b.is_some());
+                    assert_eq!(changed, count, "width {width}, row {j}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,20 @@
 //! * [`AggregationRule::Sum`] — vantage points observe *disjoint* traffic
 //!   (e.g. per-rack ToR uplinks), so sizes add.
 //!
+//! Windowed deployments ship sliding-window frames instead, and the
+//! collector answers [`Collector::window_top_k`] over a network-wide
+//! merge of every switch's live epochs. That merge is memoized per
+//! epoch: each merged epoch is keyed by the identities of the switch
+//! epochs it folds — switch id, the collector-clock stamp of the
+//! replica's last full-snapshot install, the rotation counter minus the
+//! distance from the newest epoch, and whether it is the newest. Closed
+//! replica epochs never change until evicted, and the newest changes
+//! only with a rotation or a reinstall, so an unchanged key means an
+//! unchanged merge; a steady-state query re-merges only the two
+//! distances the last rotation moved. The memo retains at most `W`
+//! merged epochs (those of the latest query), and a cloned collector
+//! starts with an empty one.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,7 +60,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::merge::{MergeError, MergeMode};
 use crate::parallel::ParallelTopK;
@@ -165,6 +179,11 @@ struct SwitchWindow<K: FlowKey> {
     /// Compared against the collector's running clock by
     /// [`Collector::stale_switches`] to spot switches gone silent.
     last_progress: u64,
+    /// Collector-clock tick of the last full-snapshot install. The
+    /// clock never repeats (not even across [`Collector::evict_switch`]
+    /// and re-admission), so this names one installed replica for the
+    /// merged-epoch memo.
+    installed: u64,
 }
 
 impl<K: FlowKey> SwitchWindow<K> {
@@ -173,6 +192,44 @@ impl<K: FlowKey> SwitchWindow<K> {
     fn needs_resync(&self) -> bool {
         self.replica.rotations() < self.max_seen
     }
+
+    /// The identity of the replica epoch `back` rotations behind the
+    /// newest (see [`EpochId`]); `None` past the live epochs.
+    fn epoch_id(&self, switch: u64, back: usize) -> Option<EpochId> {
+        (back < self.replica.live_epochs()).then(|| {
+            (
+                switch,
+                self.installed,
+                self.replica.rotations().wrapping_sub(back as u64),
+                back == 0,
+            )
+        })
+    }
+
+    /// The replica epoch `back` rotations behind the newest.
+    fn epoch_back(&self, back: usize) -> &ParallelTopK<K> {
+        self.replica
+            .epoch_iter()
+            .nth_back(back)
+            .expect("index within live epochs")
+    }
+}
+
+/// One replica epoch's identity: `(switch id, install stamp, rotation
+/// counter − distance from newest, is-newest)`. Closed replica epochs
+/// are immutable until evicted, and the newest changes only through
+/// [`SlidingTopK::commit_epoch`], which bumps the rotation counter — so
+/// equal ids mean bit-identical epochs. The is-newest flag keeps the
+/// open epoch at rotation `r` apart from the closed epoch rotation
+/// `r + 1` names the same way (the commit replaced its content).
+type EpochId = (u64, u64, u64, bool);
+
+/// One network-wide merged epoch retained by the memo: the identities
+/// of the switch epochs it folds (ascending switch id), and the fold.
+#[derive(Debug)]
+struct MergedEpoch<K: FlowKey> {
+    key: Vec<EpochId>,
+    epoch: ParallelTopK<K>,
 }
 
 /// How per-switch counts for the same flow combine network-wide.
@@ -199,7 +256,8 @@ pub enum AggregationRule {
 /// per-switch [`SlidingTopK`] replica, steady-state deltas advance it
 /// one closed epoch per rotation, and [`Collector::window_top_k`]
 /// answers the network-wide windowed top-k by merging live epochs
-/// across switches through the [`crate::merge`] machinery. The windowed
+/// across switches through the [`crate::merge`] machinery (memoized per
+/// epoch, see the module docs). The windowed
 /// plane is independent of the tumbling report/sketch path (and of
 /// [`Collector::end_period`]) — a sliding window has no period to end.
 #[derive(Debug)]
@@ -227,6 +285,11 @@ pub struct Collector<K: FlowKey> {
     /// `Mutex` — not `RefCell` — so the collector stays `Sync`;
     /// uncontended on the single-owner path.
     scratch: Mutex<QueryScratch<K>>,
+    /// The merged-epoch memo: the network-wide merged epochs of the
+    /// latest windowed query, newest first (at most `W`). A query
+    /// re-merges only the distances whose [`EpochId`] key changed since.
+    /// Locked before `scratch` wherever both are held.
+    memo: Mutex<Vec<MergedEpoch<K>>>,
     /// Window frames that participated in the protocol (snapshot,
     /// delta, dirty, duplicate or buffered alike) — observability.
     window_frames_accepted: u64,
@@ -262,8 +325,9 @@ impl<K: FlowKey> Clone for Collector<K> {
             windows: self.windows.clone(),
             resync_no_snapshot: self.resync_no_snapshot.clone(),
             clock: self.clock,
-            // Scratch is cheap to refill; a clone starts cold.
+            // Scratch and memo refill on demand; a clone starts cold.
             scratch: Mutex::new(QueryScratch::default()),
+            memo: Mutex::new(Vec::new()),
             window_frames_accepted: self.window_frames_accepted,
             window_frames_rejected: self.window_frames_rejected,
         }
@@ -288,6 +352,7 @@ impl<K: FlowKey> Collector<K> {
             resync_no_snapshot: HashSet::new(),
             clock: 0,
             scratch: Mutex::new(QueryScratch::default()),
+            memo: Mutex::new(Vec::new()),
             window_frames_accepted: 0,
             window_frames_rejected: 0,
         }
@@ -331,10 +396,7 @@ impl<K: FlowKey> Collector<K> {
     /// points), [`AggregationRule::Max`] takes the maximum (overlapping
     /// paths — summing would double-count shared packets).
     pub fn submit_sketch(&mut self, sketch: &ParallelTopK<K>) -> Result<(), MergeError> {
-        let mode = match self.rule {
-            AggregationRule::Max => MergeMode::Max,
-            AggregationRule::Sum => MergeMode::Sum,
-        };
+        let mode = self.merge_mode();
         match &mut self.merged {
             None => {
                 self.merged = Some(sketch.clone());
@@ -479,6 +541,7 @@ impl<K: FlowKey> Collector<K> {
                     }
                     entry.max_seen = entry.max_seen.max(window.rotations());
                     entry.replica = window;
+                    entry.installed = now;
                     Self::drain_pending(entry);
                 } else {
                     self.resync_no_snapshot.remove(&switch);
@@ -489,6 +552,7 @@ impl<K: FlowKey> Collector<K> {
                             replica: window,
                             pending: BTreeMap::new(),
                             last_progress: now,
+                            installed: now,
                         },
                     );
                 }
@@ -697,6 +761,78 @@ impl<K: FlowKey> Collector<K> {
         out
     }
 
+    /// The bucket merge mode of the aggregation rule.
+    fn merge_mode(&self) -> MergeMode {
+        match self.rule {
+            AggregationRule::Max => MergeMode::Max,
+            AggregationRule::Sum => MergeMode::Sum,
+        }
+    }
+
+    /// The reassembled windows in ascending switch id — the
+    /// deterministic merge order (HashMap iteration order is not
+    /// deterministic, and the Sum-conflict tie rule makes merge results
+    /// order-sensitive).
+    fn sorted_windows(&self) -> Vec<(u64, &SwitchWindow<K>)> {
+        let mut out: Vec<(u64, &SwitchWindow<K>)> =
+            self.windows.iter().map(|(&id, w)| (id, w)).collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
+    }
+
+    /// The merged-epoch memo. Every entry is a complete merge under its
+    /// key, so a refresh interrupted by a panic leaves a valid (if
+    /// partial) memo behind — poison is absorbed.
+    fn memo(&self) -> MutexGuard<'_, Vec<MergedEpoch<K>>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Brings the merged-epoch memo up to date with the replicas: one
+    /// merged epoch per distance from the newest, newest first. Epochs
+    /// align on that distance — switches rotate in phase in a windowed
+    /// deployment, so "i rotations ago" names the same period
+    /// everywhere; switches still filling their ring contribute to fewer
+    /// epochs. A distance whose [`EpochId`] key is unchanged since the
+    /// last refresh keeps its merged epoch; only the others are folded
+    /// afresh (in a steady stream: the two newest). The memo keeps only
+    /// what this refresh used. On a merge error it is left empty and
+    /// the error returned — nothing partial is cached.
+    fn refresh_memo(&self, memo: &mut Vec<MergedEpoch<K>>) -> Result<(), MergeError> {
+        let switches = self.sorted_windows();
+        let deepest = switches
+            .iter()
+            .map(|(_, w)| w.replica.live_epochs())
+            .max()
+            .unwrap_or(0);
+        let mut previous = std::mem::take(memo);
+        for back in 0..deepest {
+            let key: Vec<EpochId> = switches
+                .iter()
+                .filter_map(|&(id, w)| w.epoch_id(id, back))
+                .collect();
+            if let Some(at) = previous.iter().position(|m| m.key == key) {
+                memo.push(previous.swap_remove(at));
+                continue;
+            }
+            let mut live = switches
+                .iter()
+                .filter(|(_, w)| back < w.replica.live_epochs())
+                .map(|(_, w)| w.epoch_back(back));
+            let mut epoch = live
+                .next()
+                .expect("deepest covers at least one switch")
+                .clone();
+            for other in live {
+                if let Err(e) = epoch.merge_from_with(other, self.merge_mode()) {
+                    memo.clear();
+                    return Err(e);
+                }
+            }
+            memo.push(MergedEpoch { key, epoch });
+        }
+        Ok(())
+    }
+
     /// Merges the live-window epochs of every reassembled switch into
     /// one network-wide [`SlidingTopK`], epoch-aligned from the newest
     /// backwards, under the collector's aggregation rule
@@ -704,71 +840,41 @@ impl<K: FlowKey> Collector<K> {
     /// [`MergeMode::Max`] for overlapping paths) — the existing sketch
     /// merge machinery applied per epoch.
     ///
+    /// The merged epochs come from the collector's merged-epoch memo:
+    /// each is keyed by the identities of the switch epochs it folds
+    /// (switch id, the replica's install stamp, rotation, distance from
+    /// newest), so only epochs that changed since the previous windowed
+    /// query are re-merged; the result is cloned out of the memo. The
+    /// memo retains at most `W` merged epochs, and a cloned collector
+    /// starts with an empty one.
+    ///
     /// Returns `None` when no window was submitted, or `Err` when the
     /// switches' rings are not merge-compatible (different seeds /
     /// geometries).
     pub fn merged_window(&self) -> Result<Option<SlidingTopK<K>>, MergeError> {
-        let mode = match self.rule {
-            AggregationRule::Max => MergeMode::Max,
-            AggregationRule::Sum => MergeMode::Sum,
-        };
-        let mut switches: Vec<&SwitchWindow<K>> = Vec::with_capacity(self.windows.len());
-        {
-            // Deterministic merge order — ascending switch id (HashMap
-            // iteration order is not deterministic, and the Sum-conflict
-            // tie rule makes merge results order-sensitive).
-            let mut ids: Vec<(&u64, &SwitchWindow<K>)> = self.windows.iter().collect();
-            ids.sort_by_key(|(&id, _)| id);
-            switches.extend(ids.into_iter().map(|(_, w)| w));
-        }
-        let Some(deepest) = switches.iter().map(|w| w.replica.live_epochs()).max() else {
+        let mut memo = self.memo();
+        self.refresh_memo(&mut memo)?;
+        let Some(newest) = memo.first() else {
             return Ok(None);
         };
-        // Align epochs on their distance from the newest: switches
-        // rotate in phase in a windowed deployment, so "i rotations
-        // ago" names the same period everywhere; switches still filling
-        // their ring simply contribute to fewer epochs.
-        let mut merged_newest_first: Vec<ParallelTopK<K>> = Vec::with_capacity(deepest);
-        for back in 0..deepest {
-            let mut acc: Option<ParallelTopK<K>> = None;
-            for w in &switches {
-                let live = w.replica.live_epochs();
-                if back >= live {
-                    continue;
-                }
-                let epoch = w
-                    .replica
-                    .epoch_iter()
-                    .nth(live - 1 - back)
-                    .expect("index within live epochs");
-                match &mut acc {
-                    None => acc = Some(epoch.clone()),
-                    Some(a) => a.merge_from_with(epoch, mode)?,
-                }
-            }
-            merged_newest_first.push(acc.expect("deepest covers at least one switch"));
-        }
-        merged_newest_first.reverse();
-        let cfg = merged_newest_first
-            .last()
-            .expect("at least one epoch")
-            .config()
-            .clone();
+        let cfg = newest.epoch.config().clone();
+        let switches = self.sorted_windows();
         let window = switches
             .iter()
-            .map(|w| w.replica.window())
+            .map(|(_, w)| w.replica.window())
             .max()
             .expect("at least one switch");
         let rotations = switches
             .iter()
-            .map(|w| w.replica.rotations())
+            .map(|(_, w)| w.replica.rotations())
             .max()
             .expect("at least one switch");
+        let oldest_first = memo.iter().rev().map(|m| m.epoch.clone()).collect();
         Ok(Some(SlidingTopK::from_epochs(
             cfg,
             window,
             rotations,
-            merged_newest_first,
+            oldest_first,
         )))
     }
 
@@ -782,13 +888,22 @@ impl<K: FlowKey> Collector<K> {
     /// [`Collector::merged_window`] estimate — both are lower bounds on
     /// the flow's true window count, so the combination never
     /// over-estimates.
+    ///
+    /// The merged estimate is read from the merged-epoch memo in place
+    /// (one hash per candidate, summed over the memo's epochs), so a
+    /// steady-state query re-merges only the epochs that changed since
+    /// the previous one: O(switches × sketch) per rotation rather than
+    /// O(W × switches × sketch).
     pub fn window_top_k(&self) -> Vec<(K, u64)> {
         // The merged ring catches cross-switch elephants that no single
         // switch reports; incompatible rings fall back to report-level
         // aggregation alone.
-        let merged = self.merged_window().ok().flatten();
-        let mut switches: Vec<(&u64, &SwitchWindow<K>)> = self.windows.iter().collect();
-        switches.sort_by_key(|(&id, _)| id);
+        let mut memo = self.memo();
+        let merged: &[MergedEpoch<K>] = match self.refresh_memo(&mut memo) {
+            Ok(()) => &memo,
+            Err(_) => &[],
+        };
+        let switches = self.sorted_windows();
 
         // Scratch is cleared before use — poison cannot leak state.
         let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
@@ -811,8 +926,12 @@ impl<K: FlowKey> Collector<K> {
                         .map(|(_, sw)| sw.replica.query(&key))
                         .fold(0u64, u64::saturating_add),
                 };
-                if let Some(m) = &merged {
-                    est = est.max(m.query(&key));
+                if let Some(newest) = merged.first() {
+                    // All merged epochs share the seed: one prepared key
+                    // walks every one of them.
+                    let p = newest.epoch.sketch().prepare(key.key_bytes().as_slice());
+                    let window: u64 = merged.iter().map(|m| m.epoch.query_prepared(&p)).sum();
+                    est = est.max(window);
                 }
                 if est > 0 {
                     candidates.push((key, est));
@@ -1381,6 +1500,228 @@ mod tests {
             (9, 200),
             "windowed state survives end_period"
         );
+    }
+
+    // -- Merged-epoch memo: a warm collector against a cold clone ------
+
+    /// Asserts that `coll` (whose memo is warm from earlier queries)
+    /// answers exactly like a clone of it, which starts with a cold memo
+    /// and merges every epoch afresh.
+    fn assert_warm_equals_cold(coll: &Collector<u64>, what: &str) {
+        let cold = coll.clone();
+        assert_eq!(coll.window_top_k(), cold.window_top_k(), "{what}: top-k");
+        match (coll.merged_window(), cold.merged_window()) {
+            (Ok(Some(w)), Ok(Some(c))) => {
+                assert_eq!(w.window(), c.window(), "{what}: window");
+                assert_eq!(w.rotations(), c.rotations(), "{what}: rotations");
+                assert_eq!(w.config(), c.config(), "{what}: config");
+                assert_eq!(w.live_epochs(), c.live_epochs(), "{what}: live");
+                for (n, (we, ce)) in w.epoch_iter().zip(c.epoch_iter()).enumerate() {
+                    let (ws, cs) = (we.sketch(), ce.sketch());
+                    assert_eq!(ws.matrix().data(), cs.matrix().data(), "{what}: epoch {n}");
+                    assert_eq!(we.top_k(), ce.top_k(), "{what}: epoch {n} store");
+                }
+            }
+            (Ok(None), Ok(None)) => {}
+            (Err(a), Err(b)) => assert_eq!(a, b, "{what}: error"),
+            (warm, cold) => panic!(
+                "{what}: warm {:?} vs cold {:?}",
+                warm.map(|w| w.is_some()),
+                cold.map(|c| c.is_some())
+            ),
+        }
+    }
+
+    /// One period at a switch: `salt`-specific traffic, a rotation, and
+    /// the frame the telemetry exporter would ship (dirty, else delta).
+    fn period_frame(win: &mut SlidingTopK<u64>, switch: u64, salt: u64) -> Vec<u8> {
+        let batch: Vec<u64> = (0..600u64)
+            .map(|i| 1 + (switch * 7 + salt * 3 + i) % 11 + (i % 3) * 100)
+            .collect();
+        win.insert_batch(&batch);
+        win.rotate();
+        win.export_dirty(switch, 600)
+            .unwrap_or_else(|| win.export_delta(switch, 600).expect("closed epoch"))
+    }
+
+    const RULES: [AggregationRule; 2] = [AggregationRule::Sum, AggregationRule::Max];
+
+    #[test]
+    fn memo_follows_a_steady_stream() {
+        for rule in RULES {
+            let mut coll = Collector::<u64>::new(8, rule);
+            let mut wins: Vec<SlidingTopK<u64>> =
+                (0..3).map(|_| SlidingTopK::new(window_cfg(3), 3)).collect();
+            for (s, w) in wins.iter().enumerate() {
+                coll.submit_window_frame(&w.export_frame(s as u64, 600))
+                    .unwrap();
+            }
+            for p in 0..8 {
+                for (s, w) in wins.iter_mut().enumerate() {
+                    let frame = period_frame(w, s as u64, p);
+                    coll.submit_window_frame(&frame).unwrap();
+                }
+                assert_warm_equals_cold(&coll, &format!("{rule:?} period {p}"));
+            }
+        }
+    }
+
+    #[test]
+    fn memo_invalidates_on_same_rotation_resnapshot() {
+        for rule in RULES {
+            let mut coll = Collector::<u64>::new(8, rule);
+            let mut wins: Vec<SlidingTopK<u64>> =
+                (0..2).map(|_| SlidingTopK::new(window_cfg(3), 3)).collect();
+            for p in 0..4 {
+                for (s, w) in wins.iter_mut().enumerate() {
+                    period_frame(w, s as u64, p);
+                }
+            }
+            for (s, w) in wins.iter().enumerate() {
+                coll.submit_window_frame(&w.export_frame(s as u64, 600))
+                    .unwrap();
+            }
+            assert_warm_equals_cold(&coll, &format!("{rule:?} installed"));
+            // Switch 1 re-snapshots at the same rotation: once with more
+            // traffic in its open epoch, once as a different ring
+            // altogether (a restarted switch with other closed epochs).
+            let before = coll.merged_window().unwrap().unwrap().query(&42);
+            wins[1].insert_batch(&[42u64; 300]);
+            coll.submit_window_frame(&wins[1].export_frame(1, 600))
+                .unwrap();
+            assert_warm_equals_cold(&coll, &format!("{rule:?} open epoch grew"));
+            let after = coll.merged_window().unwrap().unwrap().query(&42);
+            assert!(after >= before + 300, "{rule:?}: {before} -> {after}");
+            let mut other = SlidingTopK::new(window_cfg(3), 3);
+            for p in 0..4 {
+                period_frame(&mut other, 1, 50 + p);
+            }
+            assert_eq!(other.rotations(), wins[1].rotations());
+            coll.submit_window_frame(&other.export_frame(1, 600))
+                .unwrap();
+            assert_warm_equals_cold(&coll, &format!("{rule:?} other ring"));
+        }
+    }
+
+    #[test]
+    fn memo_survives_evict_and_readmission() {
+        for rule in RULES {
+            let mut coll = Collector::<u64>::new(8, rule);
+            let mut wins: Vec<SlidingTopK<u64>> =
+                (0..3).map(|_| SlidingTopK::new(window_cfg(3), 3)).collect();
+            for (s, w) in wins.iter().enumerate() {
+                coll.submit_window_frame(&w.export_frame(s as u64, 600))
+                    .unwrap();
+            }
+            for p in 0..4 {
+                for (s, w) in wins.iter_mut().enumerate() {
+                    coll.submit_window_frame(&period_frame(w, s as u64, p))
+                        .unwrap();
+                }
+                assert_warm_equals_cold(&coll, &format!("{rule:?} period {p}"));
+            }
+            assert!(coll.evict_switch(1));
+            assert_warm_equals_cold(&coll, &format!("{rule:?} evicted"));
+            // Switch 1 comes back through a snapshot (another ring at
+            // the same rotation count), and then once more with no query
+            // in between: the memo still holds merged epochs of the
+            // first comeback under the same switch id and rotations, and
+            // only the install stamp tells the two rings apart.
+            let comeback = |salt: u64| {
+                let mut w = SlidingTopK::new(window_cfg(3), 3);
+                for p in 0..4 {
+                    period_frame(&mut w, 1, salt + p);
+                }
+                w
+            };
+            let back = comeback(90);
+            coll.submit_window_frame(&back.export_frame(1, 600))
+                .unwrap();
+            assert_warm_equals_cold(&coll, &format!("{rule:?} re-admitted"));
+            assert!(coll.evict_switch(1));
+            let mut back = comeback(70);
+            coll.submit_window_frame(&back.export_frame(1, 600))
+                .unwrap();
+            assert_warm_equals_cold(&coll, &format!("{rule:?} re-admitted again"));
+            for p in 4..7 {
+                for (s, w) in wins.iter_mut().enumerate() {
+                    let w = if s == 1 { &mut back } else { w };
+                    coll.submit_window_frame(&period_frame(w, s as u64, p))
+                        .unwrap();
+                }
+                assert_warm_equals_cold(&coll, &format!("{rule:?} period {p}"));
+            }
+        }
+    }
+
+    #[test]
+    fn memo_handles_a_switch_joining_with_fewer_epochs() {
+        for rule in RULES {
+            let mut coll = Collector::<u64>::new(8, rule);
+            let mut old = SlidingTopK::new(window_cfg(3), 4);
+            coll.submit_window_frame(&old.export_frame(0, 600)).unwrap();
+            for p in 0..5 {
+                coll.submit_window_frame(&period_frame(&mut old, 0, p))
+                    .unwrap();
+            }
+            assert_warm_equals_cold(&coll, &format!("{rule:?} one switch"));
+            // A fresh switch joins with one live epoch; only the newest
+            // distance gains a contributor.
+            let mut young = SlidingTopK::new(window_cfg(3), 4);
+            coll.submit_window_frame(&young.export_frame(1, 600))
+                .unwrap();
+            assert_warm_equals_cold(&coll, &format!("{rule:?} joined"));
+            for p in 5..10 {
+                coll.submit_window_frame(&period_frame(&mut old, 0, p))
+                    .unwrap();
+                coll.submit_window_frame(&period_frame(&mut young, 1, p))
+                    .unwrap();
+                assert_warm_equals_cold(&coll, &format!("{rule:?} period {p}"));
+            }
+        }
+    }
+
+    #[test]
+    fn memo_rejects_an_incompatible_ring_then_heals() {
+        for rule in RULES {
+            let mut coll = Collector::<u64>::new(8, rule);
+            let mut good = SlidingTopK::new(window_cfg(3), 3);
+            coll.submit_window_frame(&good.export_frame(0, 600))
+                .unwrap();
+            for p in 0..3 {
+                coll.submit_window_frame(&period_frame(&mut good, 0, p))
+                    .unwrap();
+            }
+            assert_warm_equals_cold(&coll, &format!("{rule:?} one ring"));
+            // A switch with another seed: its epochs cannot merge. The
+            // merged window errors, the top-k falls back to per-switch
+            // evidence, and nothing partial is cached.
+            let mut bad = SlidingTopK::new(window_cfg(4), 3);
+            for p in 0..3 {
+                period_frame(&mut bad, 1, p);
+            }
+            coll.submit_window_frame(&bad.export_frame(1, 600)).unwrap();
+            assert_eq!(coll.merged_window().unwrap_err(), MergeError::SeedMismatch);
+            assert!(!coll.window_top_k().is_empty(), "report-level fallback");
+            assert_warm_equals_cold(&coll, &format!("{rule:?} rejected"));
+            // Healed: the stray switch goes, a compatible one takes its id.
+            assert!(coll.evict_switch(1));
+            let mut fixed = SlidingTopK::new(window_cfg(3), 3);
+            for p in 0..3 {
+                period_frame(&mut fixed, 1, p);
+            }
+            coll.submit_window_frame(&fixed.export_frame(1, 600))
+                .unwrap();
+            assert!(coll.merged_window().unwrap().is_some());
+            assert_warm_equals_cold(&coll, &format!("{rule:?} healed"));
+            for p in 3..6 {
+                coll.submit_window_frame(&period_frame(&mut good, 0, p))
+                    .unwrap();
+                coll.submit_window_frame(&period_frame(&mut fixed, 1, p))
+                    .unwrap();
+                assert_warm_equals_cold(&coll, &format!("{rule:?} period {p}"));
+            }
+        }
     }
 
     #[test]

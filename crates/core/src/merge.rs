@@ -136,78 +136,90 @@ impl HkSketch {
     /// Merges `other` into `self`, bucket by bucket, under the given
     /// mode (see the module docs for the rules). Returns an error and
     /// leaves `self` untouched when the two sketches are not compatible.
+    ///
+    /// Compatible sketches share geometry and bit split, so the merge is
+    /// one pass over the two flat packed matrices ([`merge_words`]).
     pub fn merge_from_with(&mut self, other: &HkSketch, mode: MergeMode) -> Result<(), MergeError> {
         check_compatible(self, other)?;
         let max = self.counter_max();
-        for j in 0..self.arrays() {
-            // Walk the other side's packed row view; each merged bucket
-            // is one read-compute-write on our matrix.
-            let layout = other.matrix().layout();
-            let row = other.matrix().row(j);
-            for (i, &word) in row.iter().enumerate() {
-                let theirs = layout.unpack(word);
-                if theirs.is_empty() {
-                    continue;
-                }
-                let mut ours = self.bucket(j, i);
-                if ours.is_empty() {
-                    ours = theirs;
-                } else if ours.fp == theirs.fp {
-                    ours.count = match mode {
-                        MergeMode::Sum => (ours.count + theirs.count).min(max),
-                        MergeMode::Max => ours.count.max(theirs.count),
-                    };
-                } else {
-                    match mode {
-                        MergeMode::Sum => {
-                            if theirs.count > ours.count {
-                                ours.fp = theirs.fp;
-                                ours.count = theirs.count - ours.count;
-                            } else if theirs.count < ours.count {
-                                ours.count -= theirs.count;
-                            } else {
-                                // Tie: keep our fingerprint, shrink to the
-                                // floor the contest would end at. Counters
-                                // stay non-zero so the "held bucket is
-                                // never empty" invariant survives.
-                                ours.count = 1;
-                            }
-                        }
-                        MergeMode::Max => {
-                            if theirs.count > ours.count {
-                                ours = theirs;
-                            }
-                        }
-                    }
-                }
-                self.set_bucket(j, i, ours);
-            }
-        }
+        let count_mask = self.matrix().layout().count_max();
+        merge_words(
+            self.matrix_mut().data_mut(),
+            other.matrix().data(),
+            count_mask,
+            max,
+            mode,
+        );
         Ok(())
     }
 }
 
-/// Folds `reported` (another instance's top-k, any order) into a top-k
-/// algorithm by re-estimating each flow against the *merged* sketch and
-/// offering it to the store.
+/// The bucket merge kernel: applies the module-doc table to every
+/// packed word of `theirs` against the same position in `ours`, with
+/// mask arithmetic on the words themselves (no [`Bucket`] unpack/pack).
+/// `count_mask` selects the counter field; the rest of a word is the
+/// fingerprint field. `Sum` saturates at `max`, the *configured*
+/// [`HkSketch::counter_max`], not the runtime field's maximum.
+///
+/// [`Bucket`]: crate::bucket::Bucket
+fn merge_words(ours: &mut [u64], theirs: &[u64], count_mask: u64, max: u64, mode: MergeMode) {
+    debug_assert_eq!(ours.len(), theirs.len(), "compatible geometry");
+    let fp_mask = !count_mask;
+    // Every row of the table is computed and the right one selected
+    // without a branch: which row applies depends on the data, and a
+    // sparsely occupied sketch makes any branch on it a coin flip.
+    let pick = std::hint::select_unpredictable::<u64>;
+    match mode {
+        MergeMode::Sum => {
+            for (a, &b) in ours.iter_mut().zip(theirs) {
+                let (oc, tc) = (*a & count_mask, b & count_mask);
+                let (ofp, tfp) = (*a & fp_mask, b & fp_mask);
+                let sum = oc + tc;
+                let same = ofp | pick(sum > max, max, sum);
+                // Conflict: the larger count wins by the difference; a
+                // tie keeps the incumbent at 1, the floor the contest
+                // would end at, so a held bucket never empties.
+                let conflict = pick(
+                    tc > oc,
+                    tfp | tc.wrapping_sub(oc),
+                    ofp | oc.wrapping_sub(tc) | u64::from(oc == tc),
+                );
+                let held = pick(ofp == tfp, same, conflict);
+                *a = pick(tc == 0, *a, pick(oc == 0, b, held));
+            }
+        }
+        MergeMode::Max => {
+            // Every `Max` row collapses to "the larger count's word wins":
+            // an empty side has count 0, and with equal fingerprints the
+            // larger count's word *is* `(f₁, max(c₁, c₂))`.
+            for (a, &b) in ours.iter_mut().zip(theirs) {
+                *a = pick(b & count_mask > *a & count_mask, b, *a);
+            }
+        }
+    }
+}
+
+/// Folds `reported` (another instance's top-k, any order) into
+/// `target` by re-estimating each flow against its *merged* sketch
+/// (`query`, reading `target` in place — offers never touch the sketch,
+/// so no copy of it is needed) and offering it to the store (`admit`).
 ///
 /// Admission here is collector-side bookkeeping, not the per-packet
 /// Algorithm 1 path, so Optimization I's `n̂ = n_min + 1` gate does not
 /// apply: estimates arrive in arbitrary (not +1-increment) steps.
-fn fold_reported<K, Q, A>(reported: Vec<(K, u64)>, query: Q, admit: A)
+fn fold_reported<K, T, Q, A>(reported: Vec<(K, u64)>, target: &mut T, query: Q, admit: A)
 where
     K: FlowKey,
-    Q: Fn(&K) -> u64,
-    A: FnMut(K, u64),
+    Q: Fn(&T, &[u8]) -> u64,
+    A: Fn(&mut T, K, u64),
 {
-    let mut admit = admit;
     for (key, reported_est) in reported {
         // The merged sketch may know the flow better than the report
         // (fingerprint survived the merge) or have lost it (conflict
         // eviction); trust whichever evidence is stronger.
-        let est = query(&key).max(reported_est);
+        let est = query(target, key.key_bytes().as_slice()).max(reported_est);
         if est > 0 {
-            admit(key, est);
+            admit(target, key, est);
         }
     }
 }
@@ -227,12 +239,7 @@ impl<K: FlowKey> ParallelTopK<K> {
             use hk_common::algorithm::TopKAlgorithm;
             other.top_k()
         };
-        let sketch = self.sketch().clone();
-        fold_reported(
-            snapshot,
-            |k: &K| sketch.query(k.key_bytes().as_slice()),
-            |k, est| self.offer(k, est),
-        );
+        fold_reported(snapshot, self, |s, k| s.sketch().query(k), Self::offer);
         Ok(())
     }
 }
@@ -252,12 +259,7 @@ impl<K: FlowKey> MinimumTopK<K> {
             use hk_common::algorithm::TopKAlgorithm;
             other.top_k()
         };
-        let sketch = self.sketch().clone();
-        fold_reported(
-            snapshot,
-            |k: &K| sketch.query(k.key_bytes().as_slice()),
-            |k, est| self.offer(k, est),
-        );
+        fold_reported(snapshot, self, |s, k| s.sketch().query(k), Self::offer);
         Ok(())
     }
 }
@@ -594,6 +596,102 @@ mod tests {
         s1.merge_from(&s2).unwrap();
         let top: Vec<u64> = s1.top_k().into_iter().map(|(k, _)| k).collect();
         assert!(top.contains(&1) && top.contains(&2), "top = {top:?}");
+    }
+
+    /// The per-bucket merge loop [`merge_words`] replaced, kept as the
+    /// reference the word-level kernel must match bucket for bucket.
+    fn reference_merge(ours: &mut HkSketch, theirs: &HkSketch, mode: MergeMode) {
+        let max = ours.counter_max();
+        for j in 0..ours.arrays() {
+            for i in 0..ours.width() {
+                let t = theirs.bucket(j, i);
+                if t.is_empty() {
+                    continue;
+                }
+                let mut o = ours.bucket(j, i);
+                if o.is_empty() {
+                    o = t;
+                } else if o.fp == t.fp {
+                    o.count = match mode {
+                        MergeMode::Sum => (o.count + t.count).min(max),
+                        MergeMode::Max => o.count.max(t.count),
+                    };
+                } else {
+                    match mode {
+                        MergeMode::Sum => {
+                            if t.count > o.count {
+                                o.fp = t.fp;
+                                o.count = t.count - o.count;
+                            } else if t.count < o.count {
+                                o.count -= t.count;
+                            } else {
+                                o.count = 1;
+                            }
+                        }
+                        MergeMode::Max => {
+                            if t.count > o.count {
+                                o = t;
+                            }
+                        }
+                    }
+                }
+                ours.set_bucket(j, i, o);
+            }
+        }
+    }
+
+    /// Fills a sketch with seeded buckets drawn so that every row of
+    /// the merge table is hit often: few fingerprints (matches, and
+    /// stale fingerprints under a zero counter), few small counts (ties),
+    /// and counts near `counter_max` (saturation).
+    fn seeded_sketch(cfg: &HkConfig, rng: &mut hk_common::prng::XorShift64) -> HkSketch {
+        let mut s = HkSketch::new(cfg);
+        let max = s.counter_max();
+        let counts = [0, 0, 1, 2, 3, max / 2, max - 1, max];
+        for j in 0..s.arrays() {
+            for i in 0..s.width() {
+                let r = rng.next_u64_raw();
+                let fp = 1 + (r % 3) as u32;
+                let count = counts[(r >> 8) as usize % counts.len()];
+                s.set_bucket(j, i, crate::bucket::Bucket { fp, count });
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn word_merge_matches_per_bucket_reference() {
+        // 8- and 16-bit counters sit below the 32-bit runtime field, so
+        // Sum must saturate at the configured maximum; 40 bits widens
+        // the runtime counter field past the default split.
+        for (counter_bits, fingerprint_bits) in [(8, 16), (16, 16), (40, 8)] {
+            let cfg = HkConfig::builder()
+                .arrays(3)
+                .width(257)
+                .counter_bits(counter_bits)
+                .fingerprint_bits(fingerprint_bits)
+                .seed(9)
+                .build();
+            let mut rng = hk_common::prng::XorShift64::new(0x6d65_7267 ^ counter_bits as u64);
+            for mode in [MergeMode::Sum, MergeMode::Max] {
+                for _ in 0..4 {
+                    let a = seeded_sketch(&cfg, &mut rng);
+                    let b = seeded_sketch(&cfg, &mut rng);
+                    let empty = HkSketch::new(&cfg);
+                    // Seeded pairs, and each side against an empty one.
+                    for (x, y) in [(&a, &b), (&b, &a), (&a, &empty), (&empty, &b)] {
+                        let (mut fast, mut slow) = (x.clone(), x.clone());
+                        fast.merge_from_with(y, mode).unwrap();
+                        reference_merge(&mut slow, y, mode);
+                        assert_eq!(
+                            fast.matrix().data(),
+                            slow.matrix().data(),
+                            "{mode:?}, counter_bits {counter_bits}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

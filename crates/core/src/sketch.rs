@@ -396,14 +396,6 @@ impl HkSketch {
         &mut self.matrix
     }
 
-    /// A flat copy of the packed words (all rows contiguous) — the
-    /// shadow snapshot the dirty-delta exporter diffs the next closed
-    /// epoch against.
-    #[inline]
-    pub(crate) fn snapshot_words(&self) -> Vec<u64> {
-        self.matrix.data().to_vec()
-    }
-
     /// Matrix geometry diagnostics (the CLI's `--layout-report`).
     pub fn layout_report(&self) -> LayoutReport {
         LayoutReport::build(

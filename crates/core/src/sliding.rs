@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::config::HkConfig;
-use crate::merge::MergeError;
+use crate::merge::{check_compatible, MergeError};
 use crate::parallel::ParallelTopK;
 use hk_common::algorithm::{EpochRotate, PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
@@ -462,12 +462,21 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// ([`rotate_all`](crate::ShardedEngine::rotate_all)), so shard
     /// windows always share phase; anything else is a
     /// [`MergeError::WindowMismatch`].
+    ///
+    /// Like [`HkSketch::merge_from_with`](crate::sketch::HkSketch::merge_from_with),
+    /// the merge is all or nothing: every epoch pair is checked for
+    /// compatibility before any is merged, so an `Err` leaves the window
+    /// untouched (a Section III-F expansion on one side's newest epoch
+    /// fails the whole merge, not just its last step).
     pub fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
         if self.window != other.window
             || self.rotations != other.rotations
             || self.epochs.len() != other.epochs.len()
         {
             return Err(MergeError::WindowMismatch);
+        }
+        for (mine, theirs) in self.epochs.iter().zip(other.epochs.iter()) {
+            check_compatible(mine.sketch(), theirs.sketch())?;
         }
         for (mine, theirs) in self.epochs.iter_mut().zip(other.epochs.iter()) {
             mine.merge_from(theirs)?;
@@ -771,6 +780,63 @@ mod tests {
         for f in 0..300u64 {
             assert_eq!(scalar.query(&f), batched.query(&f), "flow {f}");
         }
+    }
+
+    #[test]
+    fn failed_merge_leaves_window_untouched() {
+        // Two same-config W = 3 windows whose newest epochs disagree on
+        // array count (Section III-F expansion grew one of them): the
+        // merge must fail before touching any epoch, cache or shadow.
+        let cfg = HkConfig::builder()
+            .arrays(2)
+            .width(8)
+            .k(4)
+            .seed(5)
+            .expansion(crate::config::ExpansionPolicy {
+                large_counter: 5,
+                blocked_threshold: 10,
+                max_arrays: 3,
+            })
+            .build();
+        let mk = || {
+            let mut w = SlidingTopK::<u64>::new(cfg.clone(), 3);
+            for _ in 0..2 {
+                w.insert_batch(&[0u64; 200]);
+                w.rotate();
+            }
+            w
+        };
+        let (mut a, mut b) = (mk(), mk());
+        let mut flow = 1u64;
+        while b.epoch_iter().last().unwrap().sketch().arrays() < 3 {
+            b.insert_batch(&[flow; 20]);
+            flow += 1;
+        }
+        assert!(a.export_dirty(0, 0).is_none(), "primes the shadow");
+        let before_query = a.query(&0); // warms the closed-epoch cache
+        let before = a.clone();
+        let words = |w: &SlidingTopK<u64>| -> Vec<Vec<u64>> {
+            w.epoch_iter()
+                .map(|e| e.sketch().matrix().data().to_vec())
+                .collect()
+        };
+        let stores = |w: &SlidingTopK<u64>| -> Vec<Vec<(u64, u64)>> {
+            w.epoch_iter().map(|e| e.top_k()).collect()
+        };
+
+        assert_eq!(a.merge_from(&b), Err(MergeError::ArrayCountMismatch));
+        assert_eq!(words(&a), words(&before), "buckets unchanged");
+        assert_eq!(stores(&a), stores(&before), "stores unchanged");
+        let shadow = |w: &SlidingTopK<u64>| w.export_shadow.as_ref().map(|s| s.words.clone());
+        assert_eq!(shadow(&a), shadow(&before), "shadow unchanged");
+        let cold =
+            SlidingTopK::from_epochs(cfg, 3, a.rotations(), a.epoch_iter().cloned().collect());
+        assert_eq!(
+            a.query(&0),
+            cold.query(&0),
+            "warm cache agrees with a cold rebuild"
+        );
+        assert_eq!(a.query(&0), before_query);
     }
 
     #[test]

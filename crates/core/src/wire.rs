@@ -627,7 +627,8 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// lockstep and the *next* rotation can go dirty.
     ///
     /// The shadow costs one extra matrix per window and is accounted to
-    /// the telemetry plane, not [`memory_bytes`].
+    /// the telemetry plane, not [`memory_bytes`]; each export refills
+    /// the previous shadow's allocation rather than allocating anew.
     ///
     /// [`export_delta`]: crate::sliding::SlidingTopK::export_delta
     /// [`export_frame`]: crate::sliding::SlidingTopK::export_frame
@@ -643,55 +644,51 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
             self.export_shadow = None;
             return None;
         }
-        // Borrow phase: diff-and-encode (or just snapshot) against the
-        // closed epoch, producing the frame bytes and the new shadow.
-        let (bytes, next_shadow) = {
-            let closed = self
-                .epoch_iter()
-                .rev()
-                .nth(1)
-                .expect("two or more live epochs");
-            let sketch = closed.sketch();
-            let rows = sketch.arrays();
-            let width = sketch.width();
-            let fresh = self
-                .export_shadow
-                .as_ref()
-                .is_some_and(|s| s.rotation + 1 == rotation && s.width == width);
-            let bytes = if fresh {
-                let shadow = self.export_shadow.as_ref().expect("checked fresh");
-                let mut out = Vec::with_capacity(HEADER_LEN + 256);
-                encode_frame_header(
-                    &mut out,
-                    FrameKind::Dirty,
-                    K::ENCODED_LEN,
-                    switch_id,
-                    rotation,
-                    window,
-                    1,
-                    epoch_packets,
-                );
-                let len_at = out.len();
-                out.extend_from_slice(&0u32.to_le_bytes()); // placeholder
-                let payload_at = out.len();
-                encode_dirty_payload(&mut out, closed, shadow);
-                let payload_len = out.len() - payload_at;
-                out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-                let crc = hk_common::crc::crc32(&out[payload_at..]);
-                out.extend_from_slice(&crc.to_le_bytes());
-                Some(out)
-            } else {
-                None
-            };
-            let next_shadow = ExportShadow {
+        // The previous shadow is taken out so its allocation can be
+        // refilled with the new snapshot once the diff is encoded.
+        let prev = self.export_shadow.take();
+        let closed = self
+            .epoch_iter()
+            .rev()
+            .nth(1)
+            .expect("two or more live epochs");
+        let sketch = closed.sketch();
+        let rows = sketch.arrays();
+        let width = sketch.width();
+        let fresh = prev
+            .as_ref()
+            .filter(|s| s.rotation + 1 == rotation && s.width == width);
+        let bytes = fresh.map(|shadow| {
+            let mut out = Vec::with_capacity(HEADER_LEN + 256);
+            encode_frame_header(
+                &mut out,
+                FrameKind::Dirty,
+                K::ENCODED_LEN,
+                switch_id,
                 rotation,
-                rows,
-                width,
-                words: sketch.snapshot_words(),
-            };
-            (bytes, next_shadow)
-        };
-        self.export_shadow = Some(next_shadow);
+                window,
+                1,
+                epoch_packets,
+            );
+            let len_at = out.len();
+            out.extend_from_slice(&0u32.to_le_bytes()); // placeholder
+            let payload_at = out.len();
+            encode_dirty_payload(&mut out, closed, shadow);
+            let payload_len = out.len() - payload_at;
+            out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+            let crc = hk_common::crc::crc32(&out[payload_at..]);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out
+        });
+        let mut words = prev.map(|s| s.words).unwrap_or_default();
+        words.clear();
+        words.extend_from_slice(sketch.matrix().data());
+        self.export_shadow = Some(ExportShadow {
+            rotation,
+            rows,
+            width,
+            words,
+        });
         if let Some(b) = &bytes {
             self.note_export(b.len());
         }
@@ -730,13 +727,20 @@ fn encode_dirty_payload<K: FlowKey>(
         } else {
             None
         };
-        matrix.diff_row_bitmap(j, base, &mut bitmap);
+        let changed = matrix.diff_row_bitmap(j, base, &mut bitmap);
         varint::write_bitmap_rle(out, &bitmap);
+        // One reservation covers every diff of the row, so the walk
+        // below never reallocates.
+        out.reserve(changed * varint::MAX_VARINT_LEN);
         let row = matrix.row(j);
-        for (i, &new) in row.iter().enumerate() {
-            if bitmap[i / 64] & (1u64 << (i % 64)) != 0 {
+        // Only the set bits are visited: lowest first, cleared as taken.
+        for (n, &word) in bitmap.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = n * 64 + bits.trailing_zeros() as usize;
                 let old = base.map_or(0, |b| b[i]);
-                varint::write_u64(out, old ^ new);
+                varint::write_u64(out, old ^ row[i]);
+                bits &= bits - 1;
             }
         }
     }

@@ -145,6 +145,10 @@ impl LintConfig {
                 ("crates/common/src/crc.rs", "crc32"),
                 ("crates/core/src/wire.rs", "encode_cells"),
                 ("crates/core/src/wire.rs", "decode_cells"),
+                // The collector-plane kernels every period close runs
+                // per bucket: the dirty exporter's diff and the merge.
+                ("crates/core/src/bucket.rs", "diff_row_bitmap"),
+                ("crates/core/src/merge.rs", "merge_words"),
             ]),
             // The per-packet and per-byte subset of the hot set:
             // everything above except the batch-boundary dispatch/worker
@@ -165,6 +169,8 @@ impl LintConfig {
                 ("crates/common/src/crc.rs", "crc32"),
                 ("crates/core/src/wire.rs", "encode_cells"),
                 ("crates/core/src/wire.rs", "decode_cells"),
+                ("crates/core/src/bucket.rs", "diff_row_bitmap"),
+                ("crates/core/src/merge.rs", "merge_words"),
             ]),
             worker_files: vec!["crates/core/src/fault.rs".into()],
             worker_functions: pairs(&[

@@ -16,6 +16,7 @@
 //! query surface), and compactly via [`window_digest`] across sweeps.
 
 use heavykeeper::sliding::SlidingTopK;
+use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
 use hk_telemetry::{window_digest, ExportMode, Fleet, FleetConfig};
 
@@ -293,4 +294,74 @@ fn collector_windowed_topk_tracks_oracle_under_loss() {
         1.0,
         "after reconcile the collector view equals the oracle"
     );
+}
+
+/// The collector's merged-epoch memo against a cold rebuild: a warm
+/// collector (queried every rotation, so its memo carries merged epochs
+/// from one rotation to the next) must answer exactly like a clone of
+/// itself, which starts with an empty memo and merges every epoch
+/// afresh — top-k, and the merged window's buckets and stores.
+fn assert_memo_matches_cold(fleet: &Fleet<u64>, what: &str) {
+    let warm = fleet.collector();
+    let cold = warm.clone();
+    assert_eq!(warm.window_top_k(), cold.window_top_k(), "{what}: top-k");
+    let (w, c) = (warm.merged_window(), cold.merged_window());
+    assert_eq!(w.is_ok(), c.is_ok(), "{what}: merge outcome");
+    let (Ok(Some(w)), Ok(Some(c))) = (w, c) else {
+        return;
+    };
+    assert_eq!(
+        (w.window(), w.rotations(), w.live_epochs()),
+        (c.window(), c.rotations(), c.live_epochs()),
+        "{what}: ring"
+    );
+    for (n, (we, ce)) in w.epoch_iter().zip(c.epoch_iter()).enumerate() {
+        assert_eq!(we.config(), ce.config(), "{what}: epoch {n} config");
+        assert_eq!(we.top_k(), ce.top_k(), "{what}: epoch {n} store");
+        let (ws, cs) = (we.sketch(), ce.sketch());
+        assert_eq!(ws.arrays(), cs.arrays(), "{what}: epoch {n} arrays");
+        for j in 0..ws.arrays() {
+            for i in 0..ws.width() {
+                assert_eq!(
+                    ws.bucket(j, i),
+                    cs.bucket(j, i),
+                    "{what}: epoch {n} bucket ({j},{i})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_collector_memo_matches_cold_clone_every_rotation() {
+    // Dirty export through a lossy, reordering channel: gaps, buffered
+    // patches, resync snapshots and (with a lease and a muted switch)
+    // evictions and re-admissions all move the replicas under the memo.
+    for seed in 1..=3u64 {
+        let mut fleet = Fleet::<u64>::new(FleetConfig {
+            switches: 3,
+            window: 4,
+            epoch_packets: 2_000,
+            k: 20,
+            mode: ExportMode::Dirty,
+            loss: 0.1,
+            reorder: 0.1,
+            lease: 2,
+            seed,
+            ..FleetConfig::default()
+        });
+        let packets = stream(2_000 * 20, seed * 13 + 5);
+        for (p, period) in packets.chunks(2_000).enumerate() {
+            fleet.set_muted(1, (6..11).contains(&p));
+            fleet.ingest(period);
+            fleet.rotate();
+            assert_memo_matches_cold(&fleet, &format!("seed {seed} rotation {}", p + 1));
+        }
+        let s = *fleet.stats();
+        assert!(
+            s.frames_lost > 0 && s.frames_reordered > 0,
+            "seed {seed}: {s:?}"
+        );
+        assert!(s.evictions > 0 && s.readmissions > 0, "seed {seed}: {s:?}");
+    }
 }
