@@ -62,7 +62,6 @@ pub mod fault;
 pub mod merge;
 pub mod minimum;
 pub mod parallel;
-pub mod reshard;
 pub mod sharded;
 pub mod sketch;
 pub mod sliding;
@@ -80,8 +79,10 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use merge::{MergeError, MergeMode};
 pub use minimum::MinimumTopK;
 pub use parallel::ParallelTopK;
-pub use reshard::{ReshardError, ReshardReport};
-pub use sharded::{BackpressurePolicy, RecoverError, RecoveryReport, ShardPoisoned, ShardedEngine};
+pub use sharded::{
+    BackpressurePolicy, RecoverError, RecoveryReport, ReshardError, ReshardReport, ShardPoisoned,
+    ShardedEngine,
+};
 pub use sketch::HkSketch;
 pub use sliding::SlidingTopK;
 pub use stats::InsertStats;

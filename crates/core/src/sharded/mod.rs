@@ -82,7 +82,7 @@
 //! into a *bounded-loss, self-healing* event instead:
 //!
 //! * **Checkpointing.** Every shard's algorithm is periodically encoded
-//!   (via [`ShardCheckpoint`] — the encoding is the algorithm's own wire
+//!   (via [`ShardCheckpoint`](hk_common::algorithm::ShardCheckpoint) — the encoding is the algorithm's own wire
 //!   format, so wire frames double as restart state) into an in-engine
 //!   checkpoint slot. Checkpoint *ops* ride the work channel like any
 //!   control message, so a checkpoint captures the state after exactly
@@ -117,24 +117,41 @@
 //! enqueues a rotation control message behind it on every shard's
 //! work channel, so every shard rotates at the same point of its sub-stream
 //! without a stop-the-world barrier.
+//!
+//! ## Layout
+//!
+//! This module holds the engine's types, construction, the one worker
+//! birth (`spawn`, which construction, recovery and resharding all
+//! call), the worker loop, the reads and [`ShardedEngine::rotate_all`].
+//! The rest is split by concern:
+//!
+//! * `dispatch` — routing, the bounded send and its backpressure
+//!   policy, death detection and the flush barrier;
+//! * `lifecycle` — checkpoints, [`ShardedEngine::recover`] and
+//!   [`ShardedEngine::reshard`], with their reports and errors;
+//! * `export` — the phase-aligned wire-frame exports of a sliding
+//!   engine.
 
 use crate::config::HkConfig;
 use crate::fault::{FaultKind, FaultPlan, ShardFaults};
 use crate::merge::MergeError;
 use crate::minimum::MinimumTopK;
 use crate::parallel::ParallelTopK;
-use crate::reshard::{donor_range, lane_to_shard, ReshardError, ReshardReport};
-use hk_common::algorithm::{
-    EpochRotate, PreparedInsert, ShardCheckpoint, ShardReshard, TopKAlgorithm,
-};
+use hk_common::algorithm::{EpochRotate, PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, PreparedKey};
-use hk_obs::{EventKind, ObsHub, ReshardStage, WorkerObs};
+use hk_obs::{ObsHub, WorkerObs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+mod dispatch;
+mod export;
+mod lifecycle;
+
+pub use lifecycle::{RecoverError, RecoveryReport, ReshardError, ReshardReport};
 
 /// Seed of the fallback routing hash, used only when shards disagree on
 /// their [`PreparedInsert::hash_spec`] (so no single prepared key is
@@ -254,73 +271,17 @@ struct CheckpointSlot {
     packets: u64,
 }
 
-/// What one shard recovery did: which shard was respawned, where its
-/// restoring checkpoint cut the sub-stream, and how many packets fell
-/// in the *dark window* — routed to the shard after the checkpoint cut,
-/// hence absent from the restored state. The dark window is the
-/// recovery's loss bound: at most one checkpoint interval of that
-/// shard's sub-stream plus whatever was routed while the shard was
-/// down.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Index of the respawned shard.
-    pub shard: usize,
-    /// Cumulative routed-packet position of the restoring checkpoint.
-    pub checkpoint_packets: u64,
-    /// Cumulative packets routed to the shard when recovery ran.
-    pub routed_packets: u64,
-    /// `routed_packets - checkpoint_packets`: the packets the restored
-    /// shard never saw.
-    pub dark_packets: u64,
+/// The checkpoint plane, present once
+/// [`ShardedEngine::enable_checkpoints`] ran: the cadence plus `A`'s
+/// [`ShardCheckpoint`](hk_common::algorithm::ShardCheckpoint) codec,
+/// captured as plain fn pointers so the unbounded engine paths
+/// (dispatch, rotate) can schedule checkpoints without that bound.
+struct Checkpointing<A> {
+    /// Dispatched batches per shard between scheduled checkpoints.
+    every: u64,
+    encode: fn(&A) -> Vec<u8>,
+    restore: fn(&[u8]) -> Option<A>,
 }
-
-impl std::fmt::Display for RecoveryReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {} respawned from checkpoint @{} pkts ({} dark of {} routed)",
-            self.shard, self.checkpoint_packets, self.dark_packets, self.routed_packets
-        )
-    }
-}
-
-/// Error: [`ShardedEngine::recover`] could not respawn a dead shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoverError {
-    /// [`ShardedEngine::enable_checkpoints`] was never called, so there
-    /// is no restore path (the engine cannot name `A`'s decoder without
-    /// the [`ShardCheckpoint`] capability being captured first).
-    CheckpointsDisabled,
-    /// The shard died before its first checkpoint was taken.
-    NoCheckpoint {
-        /// The shard that has no checkpoint to restore from.
-        shard: usize,
-    },
-    /// The shard's checkpoint bytes failed to decode. Shards recovered
-    /// earlier in the same call stay recovered.
-    CheckpointCorrupt {
-        /// The shard whose checkpoint did not decode.
-        shard: usize,
-    },
-}
-
-impl std::fmt::Display for RecoverError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::CheckpointsDisabled => {
-                write!(f, "recovery requires enable_checkpoints to be called first")
-            }
-            Self::NoCheckpoint { shard } => {
-                write!(f, "shard {shard} died before its first checkpoint")
-            }
-            Self::CheckpointCorrupt { shard } => {
-                write!(f, "shard {shard}'s checkpoint bytes failed to decode")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RecoverError {}
 
 /// Messages a shard's two channels carried (work + return), behind the
 /// `ring_pushes`/`ring_pops` obs gauges. Relaxed: statistics only.
@@ -353,23 +314,20 @@ struct Shard<K, A> {
     /// Rebased to the checkpoint cut on respawn, so `routed - ckpt`
     /// is the dark window across repeated kills.
     packets_routed: AtomicU64,
-    /// Cumulative packets the worker has applied, in the same rebased
-    /// coordinates as `packets_routed` — the worker-side stream
-    /// position fault thresholds are measured against.
-    packets_done: Arc<AtomicU64>,
     /// Batches dispatched since the last scheduled checkpoint
     /// (producer side, under the pending lock).
     ckpt_batches: AtomicU64,
-    /// The last taken checkpoint. Shared with in-flight checkpoint ops
-    /// and preserved across respawns.
+    /// The last taken checkpoint, shared with in-flight checkpoint ops.
+    /// A respawn starts from a copy of it.
     checkpoint: Arc<Mutex<Option<CheckpointSlot>>>,
-    /// This shard's slice of the installed fault plan. Preserved across
-    /// respawns so repeated faults keep firing in sequence.
+    /// This shard index's slice of the installed fault plan. Carried
+    /// across respawns and reshards so repeated faults keep firing in
+    /// sequence.
     faults: Arc<ShardFaults>,
-    /// The worker's observation bundle, populated by
-    /// [`ShardedEngine::attach_obs`] (workers spawn at construction,
-    /// before any hub exists). Unset = instrumentation off: the worker
-    /// pays one atomic load per batch and nothing else.
+    /// The worker's observation bundle: set at birth when a hub is
+    /// attached, else later by [`ShardedEngine::attach_obs`]. Unset =
+    /// instrumentation off: the worker pays one atomic load per batch
+    /// and nothing else.
     obs: Arc<OnceLock<WorkerObs>>,
     worker: JoinHandle<()>,
 }
@@ -393,12 +351,6 @@ struct Pending<K> {
     recycled: Vec<Receiver<SubBatch<K>>>,
     total: usize,
 }
-
-/// [`ShardCheckpoint::encode_checkpoint`] captured as a plain fn
-/// pointer (see the `encode` field on [`ShardedEngine`]).
-type EncodeFn<A> = fn(&A) -> Vec<u8>;
-/// [`ShardCheckpoint::restore_checkpoint`] captured likewise.
-type RestoreFn<A> = fn(&[u8]) -> Option<A>;
 
 /// A multi-core top-k engine: `N` owned shards of any
 /// [`PreparedInsert`] algorithm, fed hash-partitioned prepared
@@ -435,15 +387,8 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     /// any allocated when the return channel came up empty). Flat after
     /// warm-up — the recycling invariant the tests pin down.
     buffers_allocated: AtomicU64,
-    /// Checkpoint cadence in dispatched batches per shard; `None` until
-    /// [`ShardedEngine::enable_checkpoints`].
-    checkpoint_every: Option<u64>,
-    /// `A`'s checkpoint encoder, captured as a plain fn pointer so the
-    /// unbounded engine paths (dispatch, rotate) can schedule
-    /// checkpoints without a `ShardCheckpoint` bound.
-    encode: Option<EncodeFn<A>>,
-    /// `A`'s checkpoint decoder, captured like `encode`.
-    restore: Option<RestoreFn<A>>,
+    /// `None` until [`ShardedEngine::enable_checkpoints`].
+    checkpointing: Option<Checkpointing<A>>,
     /// When set, ingest entry points respawn dead shards themselves.
     auto_recover: bool,
     /// Every recovery this engine has performed, in order.
@@ -503,26 +448,20 @@ where
         } else {
             HashSpec::new(ROUTE_SEED, 32)
         };
-        let (shards, recycled) = shards
-            .into_iter()
-            .map(|a| Self::spawn_shard(a, handoff))
-            .unzip();
-        Self {
-            shards,
+        let mut engine = Self {
+            shards: Vec::with_capacity(n),
             route,
             handoff,
             k,
             batch_capacity: DEFAULT_BATCH_CAPACITY,
             pending: Mutex::new(Pending {
                 per_shard: (0..n).map(|_| SubBatch::new()).collect(),
-                recycled,
+                recycled: Vec::with_capacity(n),
                 total: 0,
             }),
             lost: AtomicU64::new(0),
             buffers_allocated: AtomicU64::new(n as u64),
-            checkpoint_every: None,
-            encode: None,
-            restore: None,
+            checkpointing: None,
             auto_recover: false,
             recovery_log: Vec::new(),
             backpressure: BackpressurePolicy::Block,
@@ -530,58 +469,63 @@ where
             fault_plan: None,
             reshard_log: Vec::new(),
             obs: None,
+        };
+        for (idx, algo) in shards.into_iter().enumerate() {
+            let (shard, recycled) = engine.spawn(idx, algo, None);
+            engine.shards.push(shard);
+            engine.pending_mut().recycled.push(recycled);
         }
+        engine
     }
 
-    fn spawn_shard(algo: A, handoff: bool) -> (Shard<K, A>, Receiver<SubBatch<K>>) {
-        Self::spawn_shard_with(
-            algo,
-            handoff,
-            Arc::new(Mutex::new(None)),
-            Arc::new(ShardFaults::default()),
-            0,
-        )
-    }
-
-    /// Spawns a shard worker around `algo`, reusing the given checkpoint
-    /// slot and fault schedule (fresh on first spawn, the dead shard's
-    /// on respawn) and starting both packet counters at `base_packets`
-    /// — the restoring checkpoint's cut, so dark-window accounting and
-    /// fault thresholds stay in cumulative sub-stream coordinates across
-    /// repeated kills. Returns the shard and the receiving end of its
-    /// return channel, which the caller installs in [`Pending`].
-    fn spawn_shard_with(
+    /// Brings shard `idx`'s worker to life around `algo`: the one birth
+    /// every worker takes — at construction (no checkpoint), on
+    /// recovery (the dead shard's last checkpoint) and in a reshard
+    /// (the carried state's baseline). Both packet counters start at
+    /// the checkpoint's cut, so dark windows and fault thresholds stay
+    /// in cumulative sub-stream coordinates across respawns and
+    /// migrations. An index the engine already has keeps its fault
+    /// slice (consumed faults stay consumed); a new index arms its
+    /// slice of the installed plan. With a hub attached the worker
+    /// reports into slot `idx` from birth. Returns the shard and the
+    /// receiving end of its return channel, which the caller installs
+    /// in [`Pending`] when it installs the shard.
+    fn spawn(
+        &self,
+        idx: usize,
         algo: A,
-        handoff: bool,
-        checkpoint: Arc<Mutex<Option<CheckpointSlot>>>,
-        faults: Arc<ShardFaults>,
-        base_packets: u64,
+        checkpoint: Option<CheckpointSlot>,
     ) -> (Shard<K, A>, Receiver<SubBatch<K>>) {
+        let base = checkpoint.as_ref().map_or(0, |c| c.packets);
+        let faults = match self.shards.get(idx) {
+            Some(shard) => Arc::clone(&shard.faults),
+            None => {
+                let faults = ShardFaults::default();
+                if let Some(plan) = &self.fault_plan {
+                    faults.install(plan.specs_for(idx));
+                }
+                Arc::new(faults)
+            }
+        };
+        let obs = Arc::new(match &self.obs {
+            Some(hub) => OnceLock::from(hub.worker(idx)),
+            None => OnceLock::new(),
+        });
         let algo = Arc::new(Mutex::new(algo));
         let processed = Arc::new(AtomicU64::new(0));
-        let packets_done = Arc::new(AtomicU64::new(base_packets));
         let transit = Arc::new(Transit::default());
         let (work, work_rx) = sync_channel(WORK_RING_CAPACITY);
         let (recycle_tx, recycled) = sync_channel(RECYCLE_RING_CAPACITY);
-        let obs: Arc<OnceLock<WorkerObs>> = Arc::new(OnceLock::new());
         let worker = {
             let algo = Arc::clone(&algo);
             let processed = Arc::clone(&processed);
-            let packets_done = Arc::clone(&packets_done);
             let transit = Arc::clone(&transit);
             let faults = Arc::clone(&faults);
             let obs = Arc::clone(&obs);
+            let handoff = self.handoff;
             std::thread::spawn(move || {
                 Self::worker_loop(
-                    &algo,
-                    work_rx,
-                    recycle_tx,
-                    &processed,
-                    &packets_done,
-                    &transit,
-                    &faults,
-                    handoff,
-                    &obs,
+                    &algo, work_rx, recycle_tx, &processed, base, &transit, &faults, handoff, &obs,
                 )
             })
         };
@@ -592,10 +536,9 @@ where
             processed,
             transit,
             poisoned: AtomicBool::new(false),
-            packets_routed: AtomicU64::new(base_packets),
-            packets_done,
+            packets_routed: AtomicU64::new(base),
             ckpt_batches: AtomicU64::new(0),
-            checkpoint,
+            checkpoint: Arc::new(Mutex::new(checkpoint)),
             faults,
             obs,
             worker,
@@ -608,14 +551,16 @@ where
     /// the dispatcher drops its sender (engine drop, respawn, reshard)
     /// and the backlog is drained — or an injected fault takes it down
     /// first. Either way `work` drops with this frame (on return or
-    /// unwind), so the dispatcher's sends fail from then on.
+    /// unwind), so the dispatcher's sends fail from then on. `applied`
+    /// is the worker's stream position, starting at its checkpoint's
+    /// cut: the position fault thresholds are measured against.
     #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         algo: &Mutex<A>,
         work: Receiver<ShardMsg<K, A>>,
         recycled: SyncSender<SubBatch<K>>,
         processed: &AtomicU64,
-        packets_done: &AtomicU64,
+        mut applied: u64,
         transit: &Transit,
         faults: &ShardFaults,
         handoff: bool,
@@ -626,7 +571,6 @@ where
             match msg {
                 ShardMsg::Batch(mut batch) => {
                     let units = batch.keys.len() as u64;
-                    let applied = packets_done.load(Ordering::Relaxed);
                     if let Some((threshold, kind)) = faults.crossing(applied, units) {
                         match kind {
                             // Clean death at a batch boundary: nothing
@@ -690,11 +634,7 @@ where
                             o.latency_ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
                         }
                     }
-                    // `packets_done` strictly before `processed`: a
-                    // flusher that observes `processed` caught up must
-                    // also observe the packet position (release/acquire
-                    // pairing on `processed`).
-                    packets_done.fetch_add(units, Ordering::Release);
+                    applied += units;
                     processed.fetch_add(units, Ordering::Release);
                     // Hand the drained buffer back for reuse; a full
                     // return channel just drops it (the dispatcher will
@@ -752,20 +692,12 @@ where
         self.buffers_allocated.load(Ordering::Acquire)
     }
 
-    /// Routes a prepared key's lane to a shard index (multiply-shift
-    /// over the shard count — no modulo bias, no division). Shared
-    /// with the reshard plane ([`crate::reshard`]), whose donor
-    /// selection and store repartition must use the exact same fold.
-    #[inline]
-    fn lane_shard(&self, lane: u32) -> usize {
-        lane_to_shard(lane, self.shards.len())
-    }
-
-    /// The shard index `key` routes to.
-    #[inline]
-    pub fn shard_of(&self, key: &K) -> usize {
-        let kb = key.key_bytes();
-        self.lane_shard(self.route.prepare(kb.as_slice()).lane())
+    /// The pending partition through `&mut self`: exclusive access
+    /// needs no lock, and poison is absorbed as in `lock_pending`.
+    fn pending_mut(&mut self) -> &mut Pending<K> {
+        self.pending
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs `f` against one shard's algorithm (flushed first), for
@@ -775,7 +707,7 @@ where
     /// panicking; [`ShardedEngine::poisoned_shards`] names the dead
     /// ones.
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&A) -> R) -> Option<R> {
-        let _ = self.dispatch_and_flush();
+        let _ = self.flush();
         let s = &self.shards[shard];
         if s.is_poisoned() {
             return None;
@@ -784,31 +716,6 @@ where
         // the same thing as a poisoned shard: torn state, no answer.
         let guard = s.algo.lock().ok()?;
         Some(f(&guard))
-    }
-
-    /// The pending-buffer lock, recovering from poison: `Pending` is
-    /// plain routed-buffer state (keys copied in, a running total), so
-    /// a caller thread that panicked mid-route leaves it usable — at
-    /// worst a partially routed batch that the next dispatch ships.
-    /// Recovering keeps a single caller panic from wedging every later
-    /// ingest and read on this engine.
-    fn lock_pending(&self) -> MutexGuard<'_, Pending<K>> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Dispatches buffered scalar inserts and waits until every live
-    /// shard has drained its channel. After this returns `Ok`, every
-    /// packet previously inserted is reflected in shard state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPoisoned`] when any shard's worker has died (its
-    /// algorithm panicked during ingest). The engine stays usable: the
-    /// surviving shards are fully flushed, reads keep working over
-    /// them, and packets routed to dead shards are dropped and counted
-    /// in [`ShardedEngine::lost_packets`].
-    pub fn flush(&self) -> Result<(), ShardPoisoned> {
-        self.dispatch_and_flush()
     }
 
     /// Indices of shards whose workers have died so far (ascending;
@@ -822,6 +729,17 @@ where
             .filter(|(_, s)| s.is_poisoned())
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// `Ok` while every worker lives, else the dead shards as a
+    /// [`ShardPoisoned`] error.
+    fn health(&self) -> Result<(), ShardPoisoned> {
+        let dead = self.poisoned_shards();
+        if dead.is_empty() {
+            Ok(())
+        } else {
+            Err(ShardPoisoned { shards: dead })
+        }
     }
 
     /// Packets dropped because their shard's worker was dead: packets
@@ -846,8 +764,8 @@ where
     /// reporting into it — dispatch/ingest counters, dispatch→drain
     /// latency and batch-size histograms, and journal events for
     /// worker death, recovery, reshard phases and shedding. Idempotent
-    /// per shard slot (the worker's bundle is set once); shard slots
-    /// created later (reshard growth, respawn) are wired automatically.
+    /// per shard slot (the worker's bundle is set once); workers born
+    /// later (respawn, reshard) are wired at birth.
     ///
     /// With no hub attached (the default) the hot path pays one branch
     /// per dispatched batch and one relaxed load per drained batch.
@@ -885,781 +803,6 @@ where
         hub.stages.shed_packets.set(self.shed_packets());
         Some(hub.snapshot())
     }
-
-    /// Journals a reshard phase transition (no-op without a hub).
-    fn obs_reshard_phase(&self, from: usize, to: usize, stage: ReshardStage) {
-        if let Some(hub) = &self.obs {
-            hub.stages.reshard_phases.incr();
-            hub.journal.record(EventKind::ReshardPhase {
-                from_shards: from as u64,
-                to_shards: to as u64,
-                stage,
-            });
-        }
-    }
-
-    /// The current full-channel policy.
-    pub fn backpressure(&self) -> BackpressurePolicy {
-        self.backpressure
-    }
-
-    /// Sets the full-channel policy (see [`BackpressurePolicy`]). A shed
-    /// sub-batch's buffer is dropped with it, so sustained shedding
-    /// re-allocates replacement buffers at the shedding rate —
-    /// shedding trades the zero-alloc steady state for liveness.
-    pub fn set_backpressure(&mut self, policy: BackpressurePolicy) {
-        self.backpressure = policy;
-    }
-
-    /// Accounts a newly detected worker death exactly once: whichever
-    /// racing observer wins the false→true transition owns the
-    /// enqueued-but-unprocessed backlog (the worker is dead, so
-    /// `processed` is final).
-    fn poison_shard(&self, idx: usize) {
-        let shard = &self.shards[idx];
-        if shard
-            .poisoned
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            let target = shard.enqueued.load(Ordering::Acquire);
-            let done = shard.processed.load(Ordering::Acquire);
-            self.lost
-                .fetch_add(target.saturating_sub(done), Ordering::Release);
-            if let Some(hub) = &self.obs {
-                hub.shard(idx).worker_deaths.incr();
-                hub.journal
-                    .record(EventKind::WorkerDeath { shard: idx as u64 });
-            }
-        }
-    }
-
-    /// Hands one message to a shard worker, blocking on a full channel
-    /// (backpressure) until the worker frees a slot or is found dead.
-    /// `flush_units` is what the flush accounting waits for (batch
-    /// length, or 1 for a control op); `packet_units` is how many real
-    /// packets the message carries — only those count as
-    /// [`ShardedEngine::lost_packets`] when the shard is dead (a
-    /// dropped rotation op is not packet loss).
-    ///
-    /// All callers hold the pending lock, so sends to one shard stay
-    /// in dispatch order.
-    fn send_to_shard(&self, idx: usize, msg: ShardMsg<K, A>, flush_units: u64, packet_units: u64) {
-        let shard = &self.shards[idx];
-        // Routed = destined for this shard, delivered or not: the dark
-        // window a recovery reports is everything sent after the
-        // checkpoint cut, including packets dropped while the shard was
-        // down.
-        shard
-            .packets_routed
-            .fetch_add(packet_units, Ordering::Release);
-        if shard.is_poisoned() {
-            self.lost.fetch_add(packet_units, Ordering::Release);
-            return;
-        }
-        // Shed policy: a live-but-slow shard's overflow batch is
-        // dropped instead of stalling the whole dispatch plane. Ops
-        // always block — a shed rotation or checkpoint barrier would
-        // tear the phase alignment shedding is meant to preserve.
-        let may_shed =
-            self.backpressure == BackpressurePolicy::Shed && matches!(msg, ShardMsg::Batch(_));
-        let delivered = if may_shed {
-            match shard.work.try_send(msg) {
-                Ok(()) => true,
-                Err(TrySendError::Full(_)) => {
-                    self.shed.fetch_add(packet_units, Ordering::Release);
-                    if let Some(hub) = &self.obs {
-                        hub.journal.record(EventKind::Shed {
-                            shard: idx as u64,
-                            packets: packet_units,
-                        });
-                    }
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        } else {
-            shard.work.send(msg).is_ok()
-        };
-        if delivered {
-            // Count after a successful send: counting first would open
-            // a window where a racing flush waits on (and a racing
-            // death accounting double-counts) units that were never
-            // delivered.
-            shard.enqueued.fetch_add(flush_units, Ordering::Release);
-            shard.transit.sent.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // The receiver is gone: the worker exited or unwound. This
-            // message never entered `enqueued`, so its loss is owned
-            // here unconditionally.
-            self.lost.fetch_add(packet_units, Ordering::Release);
-            self.poison_shard(idx);
-        }
-    }
-
-    /// Grabs an empty sub-batch buffer for shard `idx`: recycled from
-    /// the worker's return channel when available, freshly allocated
-    /// (and counted) only when the cycle has not converged yet.
-    fn take_buffer(&self, pending: &Pending<K>, idx: usize) -> SubBatch<K> {
-        match pending.recycled[idx].try_recv() {
-            Ok(buf) => {
-                self.shards[idx]
-                    .transit
-                    .received
-                    .fetch_add(1, Ordering::Relaxed);
-                debug_assert!(buf.keys.is_empty(), "worker returns cleared buffers");
-                buf
-            }
-            Err(_) => {
-                self.buffers_allocated.fetch_add(1, Ordering::Release);
-                SubBatch::new()
-            }
-        }
-    }
-
-    fn dispatch_locked(&self, pending: &mut Pending<K>) {
-        if pending.total == 0 {
-            return;
-        }
-        for idx in 0..pending.per_shard.len() {
-            if pending.per_shard[idx].keys.is_empty() {
-                continue;
-            }
-            if self.shards[idx].is_poisoned() {
-                // Dead shard: its packets are lost either way, so drop
-                // them in place — clearing keeps the buffer (and its
-                // capacity), taking no replacement, so a long-lived
-                // engine with one dead shard stays zero-alloc. Still
-                // routed, for dark-window accounting.
-                let units = pending.per_shard[idx].keys.len() as u64;
-                self.shards[idx]
-                    .packets_routed
-                    .fetch_add(units, Ordering::Release);
-                self.lost.fetch_add(units, Ordering::Release);
-                pending.per_shard[idx].clear();
-                continue;
-            }
-            let replacement = self.take_buffer(pending, idx);
-            let mut batch = std::mem::replace(&mut pending.per_shard[idx], replacement);
-            let units = batch.keys.len() as u64;
-            if let Some(hub) = &self.obs {
-                hub.stages.dispatch_batches.incr();
-                hub.stages.dispatch_packets.add(units);
-                // One clock read per dispatched batch, at the batch
-                // boundary — the worker computes the elapsed
-                // dispatch→drain time when it drains this buffer.
-                batch.sent_at = Some(Instant::now());
-            }
-            self.send_to_shard(idx, ShardMsg::Batch(batch), units, units);
-            // Scheduled checkpoint: every `checkpoint_every` dispatched
-            // batches, the shard encodes itself right behind the work
-            // it just received.
-            if let Some(every) = self.checkpoint_every {
-                let n = self.shards[idx]
-                    .ckpt_batches
-                    .fetch_add(1, Ordering::Relaxed)
-                    + 1;
-                if n >= every {
-                    self.shards[idx].ckpt_batches.store(0, Ordering::Relaxed);
-                    self.enqueue_checkpoint(idx);
-                }
-            }
-        }
-        pending.total = 0;
-    }
-
-    /// Enqueues a checkpoint op on shard `idx`'s work channel (caller
-    /// holds the pending lock, which keeps sends in dispatch order).
-    /// The op rides behind every batch dispatched so far, so the state
-    /// it encodes is exactly the routed-counter cut captured here.
-    fn enqueue_checkpoint(&self, idx: usize) {
-        let Some(encode) = self.encode else { return };
-        let shard = &self.shards[idx];
-        if shard.is_poisoned() {
-            return;
-        }
-        let at_packets = shard.packets_routed.load(Ordering::Acquire);
-        let slot = Arc::clone(&shard.checkpoint);
-        let op = move |a: &mut A| {
-            let bytes = encode(a);
-            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(CheckpointSlot {
-                bytes,
-                packets: at_packets,
-            });
-        };
-        if let Some(hub) = &self.obs {
-            hub.stages.checkpoints.incr();
-        }
-        self.send_to_shard(idx, ShardMsg::Op(Box::new(op)), 1, 0);
-    }
-
-    fn dispatch_and_flush(&self) -> Result<(), ShardPoisoned> {
-        {
-            let mut pending = self.lock_pending();
-            self.dispatch_locked(&mut pending);
-        }
-        for (idx, shard) in self.shards.iter().enumerate() {
-            loop {
-                if shard.is_poisoned() {
-                    break;
-                }
-                let target = shard.enqueued.load(Ordering::Acquire);
-                if shard.processed.load(Ordering::Acquire) >= target {
-                    break;
-                }
-                // A worker that died (its algorithm panicked inside
-                // ingest) can never catch up; poison the shard instead
-                // of busy-waiting forever. Re-read the counter after
-                // seeing the thread finished so a clean last batch is
-                // not mistaken for death.
-                if shard.worker.is_finished() {
-                    let done = shard.processed.load(Ordering::Acquire);
-                    if done < target {
-                        self.poison_shard(idx);
-                        break;
-                    }
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let dead = self.poisoned_shards();
-        if dead.is_empty() {
-            Ok(())
-        } else {
-            Err(ShardPoisoned { shards: dead })
-        }
-    }
-
-    /// The single-pass partition: hash each key **once**, route by the
-    /// prepared lane, and store key (+ prepared state in handoff mode)
-    /// into the shard's recycled buffer — plain `Copy` stores, no
-    /// clones, no allocation once buffer capacities have converged.
-    fn route_into(&self, keys: &[K], pending: &mut Pending<K>) {
-        let one_shard = self.shards.len() == 1;
-        if one_shard && !self.handoff {
-            // Routing is vacuous and the worker re-hashes anyway: a
-            // straight copy keeps the degenerate 1-shard route-only
-            // engine at one hash per packet (the worker's).
-            pending.per_shard[0].keys.extend_from_slice(keys);
-            pending.total += keys.len();
-            return;
-        }
-        for key in keys {
-            let kb = key.key_bytes();
-            let p = self.route.prepare(kb.as_slice());
-            let s = if one_shard {
-                0
-            } else {
-                self.lane_shard(p.lane())
-            };
-            let buf = &mut pending.per_shard[s];
-            buf.keys.push(*key);
-            if self.handoff {
-                buf.prepared.push(p);
-            }
-        }
-        pending.total += keys.len();
-    }
-
-    /// Turns on checkpoint/respawn recovery: captures `A`'s
-    /// [`ShardCheckpoint`] encode/decode as engine state, schedules a
-    /// checkpoint every `every_batches` dispatched batches per shard
-    /// (plus one at every [`ShardedEngine::rotate_all`] barrier), and
-    /// takes an immediate baseline checkpoint of every live shard — so
-    /// any later death, however early, has something to restore from.
-    ///
-    /// The dark-window loss bound is the cadence knob: a shard respawn
-    /// loses at most `every_batches` batches of that shard's sub-stream
-    /// (plus whatever was routed while it was down), at the cost of one
-    /// encode per interval.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPoisoned`] if dead shards were found while taking
-    /// the baseline (the live ones are still checkpointed and
-    /// recoverable).
-    pub fn enable_checkpoints(&mut self, every_batches: u64) -> Result<(), ShardPoisoned>
-    where
-        A: ShardCheckpoint,
-    {
-        let encode = A::encode_checkpoint as fn(&A) -> Vec<u8>;
-        self.encode = Some(encode);
-        self.restore = Some(A::restore_checkpoint as fn(&[u8]) -> Option<A>);
-        self.checkpoint_every = Some(every_batches.max(1));
-        let res = self.dispatch_and_flush();
-        for shard in &self.shards {
-            if shard.is_poisoned() {
-                continue;
-            }
-            // Flushed + `&mut self`: the worker is idle and no ingest
-            // races, so encoding synchronously here is exact.
-            let Ok(guard) = shard.algo.lock() else {
-                continue;
-            };
-            let bytes = encode(&guard);
-            let packets = shard.packets_done.load(Ordering::Acquire);
-            *shard
-                .checkpoint
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(CheckpointSlot { bytes, packets });
-        }
-        res
-    }
-
-    /// When on, the ingest entry points ([`TopKAlgorithm::insert`] /
-    /// [`TopKAlgorithm::insert_batch`]) scan for dead workers and run
-    /// [`ShardedEngine::recover`] themselves, so the stream self-heals
-    /// without the caller checking [`ShardedEngine::flush`]. Requires
-    /// [`ShardedEngine::enable_checkpoints`]; recoveries land in
-    /// [`ShardedEngine::recovery_log`].
-    pub fn set_auto_recover(&mut self, on: bool) {
-        self.auto_recover = on;
-    }
-
-    /// Installs a deterministic fault plan: each shard's worker takes
-    /// its scheduled faults when its cumulative applied-packet count
-    /// crosses their thresholds (see [`crate::fault`]). Replaces any
-    /// previous plan. Specs naming a shard index beyond the current
-    /// topology are kept dormant: a later [`ShardedEngine::reshard`]
-    /// that grows past that index arms them on the new worker (and a
-    /// reshard rebases packet counters to the packets a shard's
-    /// restored state represents, so thresholds stay in cumulative
-    /// sub-stream coordinates — a threshold the rebase jumps past
-    /// fires on the new worker's first batch). Test/CLI hook — a
-    /// production engine never calls this.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        for (idx, shard) in self.shards.iter().enumerate() {
-            shard.faults.install(plan.specs_for(idx));
-        }
-        self.fault_plan = Some(plan.clone());
-    }
-
-    /// Checkpoints every live shard right now (behind the usual
-    /// dispatch barrier) and waits for the encodes to land.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPoisoned`] when dead shards were skipped.
-    pub fn checkpoint_now(&self) -> Result<(), ShardPoisoned> {
-        {
-            let mut pending = self.lock_pending();
-            self.dispatch_locked(&mut pending);
-            for idx in 0..self.shards.len() {
-                self.enqueue_checkpoint(idx);
-                self.shards[idx].ckpt_batches.store(0, Ordering::Relaxed);
-            }
-        }
-        self.dispatch_and_flush()
-    }
-
-    /// The bytes of `shard`'s last taken checkpoint (in-flight
-    /// checkpoint ops are flushed first), or `None` if none was taken
-    /// yet. The differential tests compare these against a fresh encode
-    /// of the restored shard to pin down bit-exact recovery.
-    pub fn checkpoint_bytes(&self, shard: usize) -> Option<Vec<u8>> {
-        let _ = self.dispatch_and_flush();
-        self.shards[shard]
-            .checkpoint
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|s| s.bytes.clone())
-    }
-
-    /// Every recovery this engine has performed, in order (both
-    /// explicit [`ShardedEngine::recover`] calls and auto-recoveries).
-    pub fn recovery_log(&self) -> &[RecoveryReport] {
-        &self.recovery_log
-    }
-
-    /// Every reshard migration this engine has run, in order —
-    /// committed and rolled back alike (see [`ShardedEngine::reshard`]).
-    pub fn reshard_log(&self) -> &[ReshardReport] {
-        &self.reshard_log
-    }
-
-    /// Respawns every poisoned shard from its last checkpoint: decodes
-    /// the checkpoint bytes, spawns a fresh worker on fresh work/return
-    /// channels around the restored algorithm, re-admits the shard's
-    /// lane, and reports each recovery's dark window. After `Ok`,
-    /// [`ShardedEngine::poisoned_shards`] is empty and routed packets
-    /// flow to the respawned shards again. A healthy engine returns an
-    /// empty `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoverError::CheckpointsDisabled`] without
-    /// [`ShardedEngine::enable_checkpoints`];
-    /// [`RecoverError::NoCheckpoint`] / [`RecoverError::CheckpointCorrupt`]
-    /// when a dead shard has nothing restorable (shards recovered
-    /// earlier in the call stay recovered).
-    pub fn recover(&mut self) -> Result<Vec<RecoveryReport>, RecoverError> {
-        let restore = self.restore.ok_or(RecoverError::CheckpointsDisabled)?;
-        // Settle detection: drains pending (dropping dead shards'
-        // packets into the routed/lost counters) and poisons every
-        // shard whose worker is gone. The Err only repeats what
-        // `poisoned_shards` tells us next.
-        let _ = self.dispatch_and_flush();
-        let mut reports = Vec::new();
-        for idx in 0..self.shards.len() {
-            if !self.shards[idx].is_poisoned() {
-                continue;
-            }
-            let slot = self.shards[idx]
-                .checkpoint
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-                .ok_or(RecoverError::NoCheckpoint { shard: idx })?;
-            let algo =
-                restore(&slot.bytes).ok_or(RecoverError::CheckpointCorrupt { shard: idx })?;
-            let routed = self.shards[idx].packets_routed.load(Ordering::Acquire);
-            let report = RecoveryReport {
-                shard: idx,
-                checkpoint_packets: slot.packets,
-                routed_packets: routed,
-                dark_packets: routed.saturating_sub(slot.packets),
-            };
-            self.respawn_shard(idx, algo, slot.packets);
-            if let Some(hub) = &self.obs {
-                hub.stages.recoveries.incr();
-                hub.dark_packets.record(report.dark_packets);
-                hub.journal.record(EventKind::Recovery {
-                    shard: idx as u64,
-                    dark_packets: report.dark_packets,
-                });
-            }
-            self.recovery_log.push(report.clone());
-            reports.push(report);
-        }
-        Ok(reports)
-    }
-
-    /// Replaces a dead shard's interior with a fresh worker around
-    /// `algo`: fresh channels, fresh flush counters, packet counters
-    /// rebased to the restoring checkpoint's cut. The checkpoint slot
-    /// and fault schedule carry over — the slot still matches the
-    /// restored state, and remaining faults keep firing on the
-    /// respawned worker.
-    fn respawn_shard(&mut self, idx: usize, algo: A, base_packets: u64) {
-        let checkpoint = Arc::clone(&self.shards[idx].checkpoint);
-        let faults = Arc::clone(&self.shards[idx].faults);
-        let (fresh, recycled) =
-            Self::spawn_shard_with(algo, self.handoff, checkpoint, faults, base_packets);
-        std::mem::replace(&mut self.shards[idx], fresh).retire();
-        self.pending
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recycled[idx] = recycled;
-        // The fresh worker's OnceLock is empty; re-wire it so the
-        // respawned shard keeps accumulating on the same hub slot.
-        if let Some(hub) = &self.obs {
-            let _ = self.shards[idx].obs.set(hub.worker(idx));
-        }
-    }
-
-    /// The auto-recover death scan: one `is_finished` load per shard
-    /// (cheap enough for the ingest path), recovery only when a worker
-    /// is actually gone. Errors are deliberately swallowed — ingest
-    /// stays infallible, and an unrecoverable shard shows up through
-    /// `flush`/`poisoned_shards` exactly as without auto-recovery.
-    fn auto_recover_if_needed(&mut self) {
-        if !self.auto_recover || self.restore.is_none() {
-            return;
-        }
-        let any_dead = self
-            .shards
-            .iter()
-            .any(|s| s.is_poisoned() || s.worker.is_finished());
-        if any_dead {
-            let _ = self.recover();
-        }
-    }
-}
-
-impl<K, A> ShardedEngine<K, A>
-where
-    K: FlowKey + Send + 'static,
-    A: PreparedInsert<K> + ShardReshard<K> + Send + 'static,
-{
-    /// Changes the shard count **under traffic**: a phase-structured
-    /// online migration that ends with the engine serving the same
-    /// stream over `new_shards` lanes.
-    ///
-    /// 1. **Drain** — dispatch everything pending and run a checkpoint
-    ///    barrier op through every shard's work channel
-    ///    ([`ShardedEngine::checkpoint_now`]), so each shard's slot is
-    ///    a packet-precise cut of its sub-stream. A `kill`/`wedge`/
-    ///    `mid-walk` fault firing here respawns the victim from its
-    ///    last periodic checkpoint (dark window accounted in the
-    ///    report) and re-runs the barrier.
-    /// 2. **Split/merge** — pure computation on the drained checkpoint
-    ///    bytes; the old topology keeps serving reads meanwhile
-    ///    (pre-swap state, never an error). Every new shard restores
-    ///    the donors whose lane intervals intersect its own: shrink
-    ///    folds donors through the Sum merge (disjoint sub-streams),
-    ///    grow restores the same parent checkpoint into each child —
-    ///    the parent *sketch* is replicated (a sketch cannot attribute
-    ///    its cells to flows; the copy is conservative and keeps
-    ///    estimates one-sided) while the monitored top-k set is
-    ///    repartitioned under the new lane map
-    ///    ([`ShardReshard::retain_flows`]).
-    /// 3. **Swap** — the new topology is installed atomically under
-    ///    the pending lock: routing is the same multiply-shift fold
-    ///    over the new shard count (divergent-spec fallback routing
-    ///    preserved — `route` does not change), per-shard packet
-    ///    counters are rebased to the packets each restored state
-    ///    represents (the sum of its donor cuts), and a baseline
-    ///    checkpoint of the carried state is primed so a death right
-    ///    after the swap is recoverable. Old workers are retired: their
-    ///    channels close and their threads are joined.
-    ///
-    /// Ingest issued between phases buffers in the pending partition
-    /// under the usual bounded backpressure policy and is dispatched to
-    /// the *new* topology after the swap. A migration that cannot
-    /// complete — unrecoverable shard, undecodable or fold-incompatible
-    /// checkpoint, faults exhausting the drain retry budget — **rolls
-    /// back**: the old topology keeps serving exactly as before the
-    /// call, and the returned [`ReshardReport`] carries the reason plus
-    /// the dark-window accounting of any recoveries that did run.
-    /// `reshard(current_count)` is a committed no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`ReshardError::ZeroShards`] and
-    /// [`ReshardError::CheckpointsDisabled`] are caller mistakes; every
-    /// runtime failure is a rollback, reported not errored.
-    pub fn reshard(&mut self, new_shards: usize) -> Result<ReshardReport, ReshardError> {
-        if new_shards == 0 {
-            return Err(ReshardError::ZeroShards);
-        }
-        let (Some(encode), Some(restore)) = (self.encode, self.restore) else {
-            return Err(ReshardError::CheckpointsDisabled);
-        };
-        let from = self.shards.len();
-        let mut recoveries: Vec<RecoveryReport> = Vec::new();
-        if new_shards == from {
-            let report = ReshardReport {
-                from_shards: from,
-                to_shards: new_shards,
-                committed: true,
-                cut_packets: Vec::new(),
-                dark_packets: 0,
-                recoveries,
-                rollback: None,
-            };
-            self.reshard_log.push(report.clone());
-            return Ok(report);
-        }
-
-        self.obs_reshard_phase(from, new_shards, ReshardStage::Drain);
-        let cuts = match self.reshard_drain(&mut recoveries) {
-            Ok(cuts) => cuts,
-            Err(reason) => {
-                return Ok(self.reshard_rollback(new_shards, Vec::new(), recoveries, reason))
-            }
-        };
-        let cut_packets: Vec<u64> = cuts.iter().map(|c| c.packets).collect();
-
-        self.obs_reshard_phase(from, new_shards, ReshardStage::Rebuild);
-        let states = match self.reshard_rebuild(new_shards, &cuts, restore) {
-            Ok(states) => states,
-            Err(reason) => {
-                return Ok(self.reshard_rollback(new_shards, cut_packets, recoveries, reason))
-            }
-        };
-
-        self.obs_reshard_phase(from, new_shards, ReshardStage::Swap);
-        self.reshard_swap(states, encode);
-        self.obs_reshard_phase(from, new_shards, ReshardStage::Commit);
-        if let Some(hub) = &self.obs {
-            hub.stages.reshards.incr();
-        }
-        let report = ReshardReport {
-            from_shards: from,
-            to_shards: new_shards,
-            committed: true,
-            cut_packets,
-            dark_packets: recoveries.iter().map(|r| r.dark_packets).sum(),
-            recoveries,
-            rollback: None,
-        };
-        self.reshard_log.push(report.clone());
-        Ok(report)
-    }
-
-    /// Phase 1 of [`ShardedEngine::reshard`]: the checkpoint barrier.
-    /// Retries around mid-drain faults — each retry first heals every
-    /// dead shard through the normal recovery path (its dark window
-    /// lands in `recoveries`), and fault specs are consume-once, so
-    /// the loop strictly progresses; the attempt budget is a backstop
-    /// against pathological plans, turning them into a rollback
-    /// instead of a livelock.
-    fn reshard_drain(
-        &mut self,
-        recoveries: &mut Vec<RecoveryReport>,
-    ) -> Result<Vec<CheckpointSlot>, String> {
-        let mut attempts = 0usize;
-        while self.checkpoint_now().is_err() {
-            attempts += 1;
-            if attempts > self.shards.len() + 2 {
-                return Err("drain retry budget exhausted (faults kept firing)".into());
-            }
-            match self.recover() {
-                Ok(mut healed) => recoveries.append(&mut healed),
-                Err(e) => return Err(format!("unrecoverable shard during drain: {e}")),
-            }
-        }
-        let mut cuts = Vec::with_capacity(self.shards.len());
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let slot = shard
-                .checkpoint
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            match slot {
-                Some(slot) => cuts.push(slot),
-                None => return Err(format!("shard {idx} has no checkpoint after drain")),
-            }
-        }
-        Ok(cuts)
-    }
-
-    /// Phase 2 of [`ShardedEngine::reshard`]: rebuilds each new
-    /// shard's state from the drained cuts. Runs entirely on the
-    /// caller thread against checkpoint *bytes* — no worker
-    /// participates, so a fault cannot fire here and the old topology
-    /// stays untouched (rollback is free until the swap).
-    fn reshard_rebuild(
-        &self,
-        new_shards: usize,
-        cuts: &[CheckpointSlot],
-        restore: RestoreFn<A>,
-    ) -> Result<Vec<(A, u64)>, String> {
-        let route = self.route;
-        let mut out = Vec::with_capacity(new_shards);
-        for j in 0..new_shards {
-            let (first, last) = donor_range(j, new_shards, cuts.len());
-            let mut acc: Option<A> = None;
-            let mut base = 0u64;
-            for (i, cut) in cuts.iter().enumerate().take(last + 1).skip(first) {
-                let Some(part) = restore(&cut.bytes) else {
-                    return Err(format!("donor shard {i}'s checkpoint failed to decode"));
-                };
-                base = base.saturating_add(cut.packets);
-                match &mut acc {
-                    None => acc = Some(part),
-                    Some(a) => {
-                        if let Err(e) = a.fold_donor(&part) {
-                            return Err(format!("donor shard {i} is not fold-compatible: {e}"));
-                        }
-                    }
-                }
-            }
-            let Some(mut algo) = acc else {
-                return Err(format!("new shard {j} has no donor interval"));
-            };
-            // Repartition the monitored set under the *new* lane map:
-            // only flows routing to lane interval `j` stay reported
-            // here. Same prepare + fold as the dispatcher, so a
-            // retained flow is exactly a flow future packets reach.
-            algo.retain_flows(&mut |key: &K| {
-                let kb = key.key_bytes();
-                lane_to_shard(route.prepare(kb.as_slice()).lane(), new_shards) == j
-            });
-            out.push((algo, base));
-        }
-        Ok(out)
-    }
-
-    /// Phase 3 of [`ShardedEngine::reshard`]: installs the new
-    /// topology. New workers spawn *before* the pending lock is taken
-    /// (spawning allocates; the lock only covers the pointer swap), the
-    /// pending partition is resized to the new shard count under the
-    /// lock — the atomic routing swap: every later `route_into` folds
-    /// lanes over the new count — and the old workers are retired
-    /// after.
-    fn reshard_swap(&mut self, states: Vec<(A, u64)>, encode: EncodeFn<A>) {
-        let from = self.shards.len();
-        let mut fresh = Vec::with_capacity(states.len());
-        for (j, (algo, base)) in states.into_iter().enumerate() {
-            // Baseline checkpoint = the carried state at its rebased
-            // cut: a death right after the swap restores exactly what
-            // the migration installed (dark window = post-swap routed
-            // packets only).
-            let slot = Arc::new(Mutex::new(Some(CheckpointSlot {
-                bytes: encode(&algo),
-                packets: base,
-            })));
-            // Shard indices alive on both sides keep their fault slice
-            // (consumed faults stay consumed across the migration);
-            // indices the grow created get their slice of the stored
-            // plan armed fresh.
-            let faults = if j < from {
-                Arc::clone(&self.shards[j].faults)
-            } else {
-                let f = Arc::new(ShardFaults::default());
-                if let Some(plan) = &self.fault_plan {
-                    f.install(plan.specs_for(j));
-                }
-                f
-            };
-            fresh.push(Self::spawn_shard_with(
-                algo,
-                self.handoff,
-                slot,
-                faults,
-                base,
-            ));
-        }
-        self.buffers_allocated
-            .fetch_add(fresh.len() as u64, Ordering::Release);
-        let (fresh, recycled): (Vec<_>, Vec<_>) = fresh.into_iter().unzip();
-        let old = {
-            // Field-level borrows (not `lock_pending`) so the guard on
-            // `pending` and the mutable borrow of `shards` split.
-            let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-            pending.per_shard = (0..fresh.len()).map(|_| SubBatch::new()).collect();
-            pending.recycled = recycled;
-            pending.total = 0;
-            std::mem::replace(&mut self.shards, fresh)
-        };
-        // Wire the new topology's workers into the hub: slot counters
-        // are per-index, so shards alive on both sides keep their
-        // series and grown indices start fresh ones.
-        if let Some(hub) = &self.obs {
-            for (j, shard) in self.shards.iter().enumerate() {
-                let _ = shard.obs.set(hub.worker(j));
-            }
-        }
-        for shard in old {
-            shard.retire();
-        }
-    }
-
-    /// Builds, logs, and returns the rollback report: the old topology
-    /// was not (or could not be) swapped out and keeps serving.
-    fn reshard_rollback(
-        &mut self,
-        to_shards: usize,
-        cut_packets: Vec<u64>,
-        recoveries: Vec<RecoveryReport>,
-        reason: String,
-    ) -> ReshardReport {
-        self.obs_reshard_phase(self.shards.len(), to_shards, ReshardStage::Rollback);
-        let report = ReshardReport {
-            from_shards: self.shards.len(),
-            to_shards,
-            committed: false,
-            dark_packets: recoveries.iter().map(|r| r.dark_packets).sum(),
-            cut_packets,
-            recoveries,
-            rollback: Some(reason),
-        };
-        self.reshard_log.push(report.clone());
-        report
-    }
 }
 
 impl<K, A> TopKAlgorithm<K> for ShardedEngine<K, A>
@@ -1696,7 +839,7 @@ where
     }
 
     fn query(&self, key: &K) -> u64 {
-        let _ = self.dispatch_and_flush();
+        let _ = self.flush();
         let s = self.shard_of(key);
         if self.shards[s].is_poisoned() {
             // The flow's shard died mid-ingest; its state may be torn,
@@ -1712,7 +855,7 @@ where
     }
 
     fn top_k(&self) -> Vec<(K, u64)> {
-        let _ = self.dispatch_and_flush();
+        let _ = self.flush();
         let mut all: Vec<(K, u64)> = Vec::new();
         for shard in &self.shards {
             if shard.is_poisoned() {
@@ -1791,21 +934,13 @@ where
                 // A rotation is a natural checkpoint barrier: the
                 // encode rides right behind the rotate op, so a restart
                 // from it resumes at a clean epoch boundary.
-                if self.checkpoint_every.is_some() {
-                    self.enqueue_checkpoint(idx);
-                    self.shards[idx].ckpt_batches.store(0, Ordering::Relaxed);
-                }
+                self.enqueue_checkpoint(idx);
             }
         }
         if let Some(hub) = &self.obs {
             hub.stages.rotations.incr();
         }
-        let dead = self.poisoned_shards();
-        if dead.is_empty() {
-            Ok(())
-        } else {
-            Err(ShardPoisoned { shards: dead })
-        }
+        self.health()
     }
 }
 
@@ -1820,116 +955,6 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
         Self::from_fn(shards, cfg.k, |_| {
             crate::sliding::SlidingTopK::new(per.clone(), window)
         })
-    }
-
-    /// Exports one **full** wire-v2 frame per shard, phase-aligned:
-    /// everything inserted before this call is dispatched and flushed
-    /// first — the same pending-dispatch barrier
-    /// [`ShardedEngine::rotate_all`] cuts behind — so every frame is
-    /// captured at the same point of the stream and the same rotation
-    /// count. Shard `i`'s frame carries switch id `switch_id_base + i`:
-    /// flows are hash-partitioned across shards, so a collector
-    /// aggregates the frames as *disjoint* vantage points
-    /// ([`crate::collector::AggregationRule::Sum`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPoisoned`] when any shard's worker has died (its
-    /// ring state may be torn; no frame is exported for it — the
-    /// surviving shards' frames are not returned either, so a partial
-    /// fleet view is never mistaken for a complete one).
-    pub fn export_frames(
-        &self,
-        switch_id_base: u64,
-        epoch_packets: u32,
-    ) -> Result<Vec<Vec<u8>>, ShardPoisoned> {
-        self.flush()?;
-        let frames: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                // The flush barrier already rejected dead workers;
-                // residual poison can only come from a reader's panic
-                // (shared access, state intact) — absorb it.
-                let guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.export_frame(switch_id_base + i as u64, epoch_packets)
-            })
-            .collect();
-        self.obs_record_export(&frames);
-        Ok(frames)
-    }
-
-    /// The delta sibling of [`ShardedEngine::export_frames`]: one
-    /// **delta** frame per shard behind the same flush barrier, each
-    /// carrying the shard window's newest closed epoch. Returns `None`
-    /// before the first rotation (no epoch has closed anywhere — the
-    /// shards rotate in lockstep through
-    /// [`ShardedEngine::rotate_all`], so either all have a closed
-    /// epoch or none do).
-    pub fn export_deltas(
-        &self,
-        switch_id_base: u64,
-        epoch_packets: u32,
-    ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
-        self.flush()?;
-        let mut out = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-            match guard.export_delta(switch_id_base + i as u64, epoch_packets) {
-                Some(frame) => out.push(frame),
-                None => return Ok(None),
-            }
-        }
-        self.obs_record_export(&out);
-        Ok(Some(out))
-    }
-
-    /// The dirty sibling of [`ShardedEngine::export_deltas`]: one
-    /// **dirty** wire-v3 frame per shard behind the same flush barrier
-    /// ([`SlidingTopK::export_dirty`](crate::sliding::SlidingTopK::export_dirty)).
-    /// Returns `None` unless *every* shard produced a dirty frame —
-    /// the shards rotate in lockstep through
-    /// [`ShardedEngine::rotate_all`] and this method primes or advances
-    /// every shard's shadow on every call, so after the first
-    /// (`None`-returning, shadow-priming) call per rotation stream the
-    /// shards stay dirty-eligible together. On `None` the caller ships
-    /// [`ShardedEngine::export_deltas`] or
-    /// [`ShardedEngine::export_frames`] instead; either fallback
-    /// carries the same closed epochs the refreshed shadows snapshot,
-    /// so the next rotation can go dirty.
-    pub fn export_dirties(
-        &self,
-        switch_id_base: u64,
-        epoch_packets: u32,
-    ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
-        self.flush()?;
-        let mut out = Vec::with_capacity(self.shards.len());
-        let mut complete = true;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-            // Call every shard even once one came up empty: the call is
-            // what primes/advances each shard's shadow for next time.
-            match guard.export_dirty(switch_id_base + i as u64, epoch_packets) {
-                Some(frame) => out.push(frame),
-                None => complete = false,
-            }
-        }
-        if complete {
-            self.obs_record_export(&out);
-        }
-        Ok(complete.then_some(out))
-    }
-
-    /// Counts one export op and records per-shard frame sizes into the
-    /// export-bytes histogram (no-op without a hub).
-    fn obs_record_export(&self, frames: &[Vec<u8>]) {
-        if let Some(hub) = &self.obs {
-            hub.stages.exports.incr();
-            for f in frames {
-                hub.export_bytes.record(f.len() as u64);
-            }
-        }
     }
 }
 
@@ -2573,6 +1598,59 @@ mod tests {
         assert!(engine.poisoned_shards().is_empty());
     }
 
+    impl hk_common::ShardCheckpoint for Gated {
+        fn encode_checkpoint(&self) -> Vec<u8> {
+            self.count.to_le_bytes().to_vec()
+        }
+        fn restore_checkpoint(bytes: &[u8]) -> Option<Self> {
+            Some(Gated {
+                open: Arc::new(std::sync::atomic::AtomicBool::new(true)),
+                count: u64::from_le_bytes(bytes.try_into().ok()?),
+            })
+        }
+    }
+
+    #[test]
+    fn baseline_after_shedding_counts_only_later_packets_dark() {
+        // Shed some packets, then take the baseline: its cut is the
+        // routed count, so the shed packets stay counted once (as shed)
+        // and the dark window of a later recovery holds exactly the
+        // packets routed after the baseline.
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut engine = ShardedEngine::from_shards(
+            vec![Gated {
+                open: Arc::clone(&gate),
+                count: 0,
+            }],
+            4,
+        );
+        engine.set_batch_capacity(1);
+        engine.set_backpressure(BackpressurePolicy::Shed);
+        let before = 20 * WORK_RING_CAPACITY as u64;
+        for _ in 0..before {
+            engine.insert_batch(&[7u64]);
+        }
+        let shed = engine.shed_packets();
+        assert!(shed > 0, "full ring under Shed must shed");
+        gate.store(true, Ordering::Release);
+        engine.enable_checkpoints(1_000_000).expect("alive");
+        let applied = before - shed;
+        assert_eq!(engine.query(&7), applied);
+
+        engine.set_backpressure(BackpressurePolicy::Block);
+        engine.set_fault_plan(&FaultPlan::new().with(0, applied + 5, FaultKind::Kill));
+        let after = 40u64;
+        for _ in 0..after {
+            engine.insert_batch(&[7u64]);
+        }
+        let reports = engine.recover().expect("baseline restores");
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].checkpoint_packets, before);
+        assert_eq!(reports[0].dark_packets, after, "shed packets are not dark");
+        assert_eq!(engine.shed_packets(), shed);
+        assert_eq!(engine.query(&7), applied);
+    }
+
     #[test]
     fn block_policy_stalls_until_worker_catches_up() {
         let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -2931,6 +2009,35 @@ mod tests {
         assert!(snap.journal.count_of("recovery") >= 1);
         assert!(snap.journal.count_of("reshard_phase") >= 4);
         assert_eq!(snap.journal.dropped, 0);
+        // The journal agrees with the engine logs, the one home of
+        // these facts: the recovery events in order, and the stage
+        // counters (a same-count reshard is a committed no-op, neither
+        // journaled nor counted).
+        let journaled: Vec<(usize, u64)> = snap
+            .journal
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                hk_obs::EventKind::Recovery {
+                    shard,
+                    dark_packets,
+                } => Some((shard as usize, dark_packets)),
+                _ => None,
+            })
+            .collect();
+        let logged: Vec<(usize, u64)> = engine
+            .recovery_log()
+            .iter()
+            .map(|r| (r.shard, r.dark_packets))
+            .collect();
+        assert_eq!(journaled, logged);
+        assert_eq!(snap.stages.recoveries, engine.recovery_log().len() as u64);
+        let migrations = engine
+            .reshard_log()
+            .iter()
+            .filter(|r| r.committed && r.from_shards != r.to_shards)
+            .count();
+        assert_eq!(snap.stages.reshards, migrations as u64);
         // Both exposition formats carry the keys CI greps for.
         let json = snap.render_json();
         assert!(json.contains("\"dispatch_packets\""), "{json}");

@@ -18,7 +18,9 @@
 //!    and keeps the reported top-k close to a loss-free oracle.
 
 use heavykeeper::{FaultKind, FaultPlan, HkConfig, ParallelTopK, ShardedEngine, SlidingTopK};
-use hk_common::algorithm::{EpochRotate, ShardCheckpoint, TopKAlgorithm};
+use hk_common::algorithm::{
+    EpochRotate, PreparedInsert, ShardCheckpoint, ShardReshard, TopKAlgorithm,
+};
 
 fn cfg(w: usize, k: usize, seed: u64) -> HkConfig {
     HkConfig::builder()
@@ -271,6 +273,22 @@ fn recall_of(faulty: &[(u64, u64)], oracle: &[(u64, u64)]) -> f64 {
 #[test]
 fn kill_in_every_reshard_phase_recovers_with_bounded_dark_window() {
     let k = 20;
+    // Composed cases: every fault kind, on a flat engine and on a
+    // W = 2 windowed engine rotated once inside part A (a windowed
+    // mid-walk kill during a shrink among them).
+    reshard_phase_sweep(&|| ParallelTopK::new(cfg(1024, k, 5)), &|_| {});
+    reshard_phase_sweep(&|| SlidingTopK::new(cfg(1024, k, 5), 2), &|e| {
+        e.rotate_all().expect("no fault is scheduled inside part A")
+    });
+}
+
+/// One reshard-phase fault sweep over engines of `make()` shards;
+/// `mid_part_a` runs halfway through part A.
+fn reshard_phase_sweep<A>(make: &dyn Fn() -> A, mid_part_a: &dyn Fn(&mut ShardedEngine<u64, A>))
+where
+    A: PreparedInsert<u64> + ShardCheckpoint + ShardReshard<u64> + Send + 'static,
+{
+    let k = 20;
     let batch = 512;
     let cadence = 4u64; // checkpoint every 4 dispatched batches per shard
     let part_a = zipfish_stream(40_000, 24, 4000, 7);
@@ -282,14 +300,17 @@ fn kill_in_every_reshard_phase_recovers_with_bounded_dark_window() {
     // topology came out. Auto-recovery heals post-swap deaths; drain
     // deaths are healed inside `reshard` itself.
     let run = |from: usize, to: usize, staged: &[u64], plan: Option<&FaultPlan>| {
-        let mut engine: ShardedEngine<u64, ParallelTopK<u64>> =
-            ShardedEngine::from_fn(from, k, |_| ParallelTopK::new(cfg(1024, k, 5)));
+        let mut engine: ShardedEngine<u64, A> = ShardedEngine::from_fn(from, k, |_| make());
         engine.enable_checkpoints(cadence).unwrap();
         if let Some(plan) = plan {
             engine.set_fault_plan(plan);
         }
         engine.set_auto_recover(true);
-        for chunk in part_a.chunks(batch) {
+        let halfway = part_a.len() / batch / 2;
+        for (i, chunk) in part_a.chunks(batch).enumerate() {
+            if i == halfway {
+                mid_part_a(&mut engine);
+            }
             engine.insert_batch(chunk);
         }
         engine.flush().expect("no fault is scheduled inside part A");
@@ -308,8 +329,7 @@ fn kill_in_every_reshard_phase_recovers_with_bounded_dark_window() {
     for (from, to) in [(2usize, 4usize), (4usize, 2usize)] {
         // Per-old-shard applied counts after part A, for packet-exact
         // threshold placement (the engine routes deterministically).
-        let probe: ShardedEngine<u64, ParallelTopK<u64>> =
-            ShardedEngine::from_fn(from, k, |_| ParallelTopK::new(cfg(1024, k, 5)));
+        let probe: ShardedEngine<u64, A> = ShardedEngine::from_fn(from, k, |_| make());
         let mut a = vec![0u64; from];
         for f in &part_a {
             a[probe.shard_of(f)] += 1;
@@ -321,7 +341,7 @@ fn kill_in_every_reshard_phase_recovers_with_bounded_dark_window() {
         assert!(oracle_report.committed, "{from}->{to}: fault-free commit");
         assert!(oracle_log.is_empty(), "{from}->{to}: loss-free oracle");
 
-        // A kill scheduled inside each migration phase. Part A ends
+        // A fault scheduled inside each migration phase. Part A ends
         // with shard 0 at exactly a[0] applied packets and `>` compares
         // strictly, so a threshold of a[0] fires on the *drain's*
         // dispatch of the staged sub-batch and never earlier. The
@@ -330,35 +350,34 @@ fn kill_in_every_reshard_phase_recovers_with_bounded_dark_window() {
         // the first post-rebuild dispatch; the swap case pins its
         // threshold far below the rebased base — the rebase jumps past
         // it and it fires on the new worker's very first batch.
-        let phases: [(&str, FaultPlan); 3] = [
-            ("drain", FaultPlan::new().kill(0, a[0])),
-            (
-                "split",
-                if to > from {
-                    // A shard index only the new topology has: dormant
-                    // until the grow installs it, threshold at its
-                    // donor's cut.
-                    FaultPlan::new().kill(to - 1, a[from - 1])
-                } else {
-                    // A survivor at exactly its post-fold base.
-                    FaultPlan::new().kill(0, a[0] + a[1] + staged.len() as u64)
-                },
-            ),
-            (
-                "swap",
-                if to > from {
-                    FaultPlan::new().kill(to - 1, 1)
-                } else {
-                    // Above everything shard 0 applies pre-swap
-                    // (a[0] + staged), below its rebased base.
-                    FaultPlan::new().kill(0, a[0] + staged.len() as u64 + a[1] / 2)
-                },
-            ),
+        let phases: [(&str, usize, u64); 3] = [
+            ("drain", 0, a[0]),
+            if to > from {
+                // A shard index only the new topology has: dormant
+                // until the grow installs it, threshold at its donor's
+                // cut.
+                ("split", to - 1, a[from - 1])
+            } else {
+                // A survivor at exactly its post-fold base.
+                ("split", 0, a[0] + a[1] + staged.len() as u64)
+            },
+            if to > from {
+                ("swap", to - 1, 1)
+            } else {
+                // Above everything shard 0 applies pre-swap
+                // (a[0] + staged), below its rebased base.
+                ("swap", 0, a[0] + staged.len() as u64 + a[1] / 2)
+            },
         ];
 
-        for (phase, plan) in &phases {
-            let tag = format!("{from}->{to} kill@{phase}");
-            let (top, report, log) = run(from, to, &staged, Some(plan));
+        let kinds = [FaultKind::Kill, FaultKind::MidWalk, FaultKind::Wedge];
+        for ((phase, shard, threshold), kind) in phases
+            .iter()
+            .flat_map(|p| kinds.iter().map(move |k| (p, k)))
+        {
+            let tag = format!("{from}->{to} {kind}@{phase}");
+            let plan = FaultPlan::new().with(*shard, *threshold, *kind);
+            let (top, report, log) = run(from, to, &staged, Some(&plan));
             assert!(report.committed, "{tag}: must commit, got {report}");
             assert_eq!(report.to_shards, to, "{tag}");
             assert!(!log.is_empty(), "{tag}: the scheduled kill never fired");

@@ -134,12 +134,12 @@ impl LintConfig {
                 ("crates/common/src/prepared.rs", "prepare_from"),
                 ("crates/common/src/prepared.rs", "fill_slots"),
                 // The zero-alloc dispatch plane (PR 4).
-                ("crates/core/src/sharded.rs", "dispatch_locked"),
-                ("crates/core/src/sharded.rs", "route_into"),
-                ("crates/core/src/sharded.rs", "send_to_shard"),
-                ("crates/core/src/sharded.rs", "take_buffer"),
+                ("crates/core/src/sharded/dispatch.rs", "dispatch_locked"),
+                ("crates/core/src/sharded/dispatch.rs", "route_into"),
+                ("crates/core/src/sharded/dispatch.rs", "send_to_shard"),
+                ("crates/core/src/sharded/dispatch.rs", "take_buffer"),
                 // Lane routing shared by dispatch and reshard (PR 9).
-                ("crates/core/src/reshard.rs", "lane_to_shard"),
+                ("crates/core/src/sharded/dispatch.rs", "lane_to_shard"),
                 // The wire codec kernels every checkpoint, restore and
                 // frame export runs per byte / per bucket.
                 ("crates/common/src/crc.rs", "crc32"),
@@ -162,10 +162,10 @@ impl LintConfig {
                 ("crates/common/src/prepared.rs", "prepare"),
                 ("crates/common/src/prepared.rs", "prepare_from"),
                 ("crates/common/src/prepared.rs", "fill_slots"),
-                ("crates/core/src/sharded.rs", "route_into"),
-                ("crates/core/src/sharded.rs", "send_to_shard"),
-                ("crates/core/src/sharded.rs", "take_buffer"),
-                ("crates/core/src/reshard.rs", "lane_to_shard"),
+                ("crates/core/src/sharded/dispatch.rs", "route_into"),
+                ("crates/core/src/sharded/dispatch.rs", "send_to_shard"),
+                ("crates/core/src/sharded/dispatch.rs", "take_buffer"),
+                ("crates/core/src/sharded/dispatch.rs", "lane_to_shard"),
                 ("crates/common/src/crc.rs", "crc32"),
                 ("crates/core/src/wire.rs", "encode_cells"),
                 ("crates/core/src/wire.rs", "decode_cells"),
@@ -174,22 +174,28 @@ impl LintConfig {
             ]),
             worker_files: vec!["crates/core/src/fault.rs".into()],
             worker_functions: pairs(&[
-                ("crates/core/src/sharded.rs", "worker_loop"),
-                ("crates/core/src/sharded.rs", "spawn_shard"),
-                ("crates/core/src/sharded.rs", "spawn_shard_with"),
-                ("crates/core/src/sharded.rs", "recover"),
-                ("crates/core/src/sharded.rs", "respawn_shard"),
-                ("crates/core/src/sharded.rs", "auto_recover_if_needed"),
-                ("crates/core/src/sharded.rs", "poison_shard"),
-                ("crates/core/src/sharded.rs", "enqueue_checkpoint"),
+                ("crates/core/src/sharded/mod.rs", "worker_loop"),
+                // The one worker birth: construction, recovery and
+                // reshard all spawn through it.
+                ("crates/core/src/sharded/mod.rs", "spawn"),
+                ("crates/core/src/sharded/lifecycle.rs", "recover"),
+                (
+                    "crates/core/src/sharded/lifecycle.rs",
+                    "auto_recover_if_needed",
+                ),
+                ("crates/core/src/sharded/dispatch.rs", "poison_shard"),
+                ("crates/core/src/sharded/lifecycle.rs", "enqueue_checkpoint"),
                 // The live-migration phases (PR 9): they run while
                 // workers are live, so a panic here strands the engine
                 // mid-topology exactly like a worker panic would.
-                ("crates/core/src/sharded.rs", "reshard"),
-                ("crates/core/src/sharded.rs", "reshard_drain"),
-                ("crates/core/src/sharded.rs", "reshard_rebuild"),
-                ("crates/core/src/sharded.rs", "reshard_swap"),
-                ("crates/core/src/sharded.rs", "reshard_rollback"),
+                ("crates/core/src/sharded/lifecycle.rs", "reshard"),
+                ("crates/core/src/sharded/lifecycle.rs", "reshard_drain"),
+                ("crates/core/src/sharded/lifecycle.rs", "reshard_rebuild"),
+                ("crates/core/src/sharded/lifecycle.rs", "reshard_swap"),
+                // The one export barrier: it takes every live shard's
+                // algo lock in turn, so it absorbs poison and must not
+                // panic on a reader's behalf.
+                ("crates/core/src/sharded/export.rs", "export_each"),
             ]),
             wire_fn_markers: vec![
                 "wire".into(),
