@@ -171,6 +171,12 @@ pub trait PreparedInsert<K: FlowKey>: TopKAlgorithm<K> {
 /// (sketch wire-v1, window frames), so checkpoints double as export
 /// frames and vice versa.
 ///
+/// **Cost:** an implementation may reuse encoded state across calls as
+/// long as the bytes stay identical to a fresh encode. A sliding window
+/// does: it keeps each epoch's encoded record, so a checkpoint costs
+/// O(epochs changed since the last encode) — one epoch at a rotation
+/// barrier — and that record cache is memory outside `memory_bytes`.
+///
 /// **Bit-exactness contract:** `restore_checkpoint(encode_checkpoint())`
 /// must rebuild an instance whose recorded state — bucket words, top-k
 /// store, epoch ring — is bit-exact with the original, and re-encoding

@@ -110,8 +110,10 @@ where
 
     /// Accounts a newly detected worker death exactly once: whichever
     /// racing observer wins the false→true transition owns the
-    /// enqueued-but-unprocessed backlog (the worker is dead, so
-    /// `processed` is final).
+    /// sent-but-unapplied packet backlog (the worker is dead, so
+    /// `packets_applied` is final). Counted in packets, not flush
+    /// units: a rotate or checkpoint op queued behind the death is
+    /// dropped with the worker but is no packet.
     fn poison_shard(&self, idx: usize) {
         let shard = &self.shards[idx];
         if shard
@@ -119,10 +121,10 @@ where
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            let target = shard.enqueued.load(Ordering::Acquire);
-            let done = shard.processed.load(Ordering::Acquire);
+            let sent = shard.packets_sent.load(Ordering::Acquire);
+            let applied = shard.packets_applied.load(Ordering::Acquire);
             self.lost
-                .fetch_add(target.saturating_sub(done), Ordering::Release);
+                .fetch_add(sent.saturating_sub(applied), Ordering::Release);
             if let Some(hub) = &self.obs {
                 hub.shard(idx).worker_deaths.incr();
                 hub.journal
@@ -136,8 +138,9 @@ where
     /// `flush_units` is what the flush accounting waits for (batch
     /// length, or 1 for a control op); `packet_units` is how many real
     /// packets the message carries — only those count as
-    /// [`ShardedEngine::lost_packets`] when the shard is dead (a
-    /// dropped rotation op is not packet loss).
+    /// [`ShardedEngine::lost_packets`] when the shard is dead, whether
+    /// dropped here or in the backlog a death leaves (a dropped
+    /// rotation op is not packet loss).
     ///
     /// All callers hold the pending lock, so sends to one shard stay
     /// in dispatch order.
@@ -190,11 +193,14 @@ where
             // death accounting double-counts) units that were never
             // delivered.
             shard.enqueued.fetch_add(flush_units, Ordering::Release);
+            shard
+                .packets_sent
+                .fetch_add(packet_units, Ordering::Release);
             shard.transit.sent.fetch_add(1, Ordering::Relaxed);
         } else {
             // The receiver is gone: the worker exited or unwound. This
-            // message never entered `enqueued`, so its loss is owned
-            // here unconditionally.
+            // message never entered `packets_sent`, so its loss is
+            // owned here unconditionally.
             self.lost.fetch_add(packet_units, Ordering::Release);
             self.poison_shard(idx);
         }

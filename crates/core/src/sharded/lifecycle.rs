@@ -235,7 +235,7 @@ where
         let at_packets = shard.packets_routed.load(Ordering::Acquire);
         let slot = Arc::clone(&shard.checkpoint);
         let op = move |a: &mut A| {
-            let bytes = encode(a);
+            let bytes = Arc::new(encode(a));
             *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(CheckpointSlot {
                 bytes,
                 packets: at_packets,
@@ -269,7 +269,11 @@ where
     /// The dark-window loss bound is the cadence knob: a shard respawn
     /// loses at most `every_batches` batches of that shard's sub-stream
     /// (plus whatever was routed while it was down), at the cost of one
-    /// encode per interval.
+    /// checkpoint per interval. A checkpoint costs what `A`'s encode
+    /// costs: a full sketch for a steady `ParallelTopK`, but only the
+    /// epochs changed since the last encode for a `SlidingTopK` (one at
+    /// a rotation barrier; its record cache lives outside
+    /// `memory_bytes`).
     ///
     /// # Errors
     ///
@@ -297,7 +301,7 @@ where
             let Ok(guard) = shard.algo.lock() else {
                 continue;
             };
-            let bytes = A::encode_checkpoint(&guard);
+            let bytes = Arc::new(A::encode_checkpoint(&guard));
             let packets = shard.packets_routed.load(Ordering::Acquire);
             *shard
                 .checkpoint
@@ -358,12 +362,14 @@ where
     /// of the restored shard to pin down bit-exact recovery.
     pub fn checkpoint_bytes(&self, shard: usize) -> Option<Vec<u8>> {
         let _ = self.flush();
-        self.shards[shard]
+        let bytes = self.shards[shard]
             .checkpoint
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
-            .map(|s| s.bytes.clone())
+            .map(|s| Arc::clone(&s.bytes));
+        // The copy is made here, outside the slot lock.
+        bytes.map(Arc::unwrap_or_clone)
     }
 
     /// Every recovery this engine has performed, in order (both
@@ -666,7 +672,7 @@ where
             .into_iter()
             .enumerate()
             .map(|(j, (algo, packets))| {
-                let bytes = encode(&algo);
+                let bytes = Arc::new(encode(&algo));
                 self.spawn(j, algo, Some(CheckpointSlot { bytes, packets }))
             })
             .unzip();

@@ -265,9 +265,12 @@ impl std::error::Error for ShardPoisoned {}
 /// routed-packet count at its cut (the value of the shard's cumulative
 /// routed counter when the checkpoint op was enqueued — by channel order,
 /// exactly the packets the worker had applied when it encoded).
+/// The bytes are shared, not copied: a recovery, a reshard drain and
+/// [`ShardedEngine::checkpoint_bytes`] each take a reference under the
+/// slot lock.
 #[derive(Clone)]
 struct CheckpointSlot {
-    bytes: Vec<u8>,
+    bytes: Arc<Vec<u8>>,
     packets: u64,
 }
 
@@ -303,6 +306,12 @@ struct Shard<K, A> {
     enqueued: AtomicU64,
     /// Flush units the worker has fully applied.
     processed: Arc<AtomicU64>,
+    /// Packets handed to the worker (batch lengths only: control ops
+    /// carry none). Producer side, under the pending lock.
+    packets_sent: AtomicU64,
+    /// Packets the worker has fully applied. On death, `packets_sent -
+    /// packets_applied` is the backlog lost with it.
+    packets_applied: Arc<AtomicU64>,
     /// Send/receive counts on both channels.
     transit: Arc<Transit>,
     /// Set once the worker is observed dead with work outstanding; the
@@ -513,19 +522,30 @@ where
         });
         let algo = Arc::new(Mutex::new(algo));
         let processed = Arc::new(AtomicU64::new(0));
+        let packets_applied = Arc::new(AtomicU64::new(0));
         let transit = Arc::new(Transit::default());
         let (work, work_rx) = sync_channel(WORK_RING_CAPACITY);
         let (recycle_tx, recycled) = sync_channel(RECYCLE_RING_CAPACITY);
         let worker = {
             let algo = Arc::clone(&algo);
             let processed = Arc::clone(&processed);
+            let packets_applied = Arc::clone(&packets_applied);
             let transit = Arc::clone(&transit);
             let faults = Arc::clone(&faults);
             let obs = Arc::clone(&obs);
             let handoff = self.handoff;
             std::thread::spawn(move || {
                 Self::worker_loop(
-                    &algo, work_rx, recycle_tx, &processed, base, &transit, &faults, handoff, &obs,
+                    &algo,
+                    work_rx,
+                    recycle_tx,
+                    &processed,
+                    &packets_applied,
+                    base,
+                    &transit,
+                    &faults,
+                    handoff,
+                    &obs,
                 )
             })
         };
@@ -534,6 +554,8 @@ where
             work,
             enqueued: AtomicU64::new(0),
             processed,
+            packets_sent: AtomicU64::new(0),
+            packets_applied,
             transit,
             poisoned: AtomicBool::new(false),
             packets_routed: AtomicU64::new(base),
@@ -554,12 +576,14 @@ where
     /// unwind), so the dispatcher's sends fail from then on. `applied`
     /// is the worker's stream position, starting at its checkpoint's
     /// cut: the position fault thresholds are measured against.
+    /// `processed` counts flush units, `packets_applied` packets only.
     #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         algo: &Mutex<A>,
         work: Receiver<ShardMsg<K, A>>,
         recycled: SyncSender<SubBatch<K>>,
         processed: &AtomicU64,
+        packets_applied: &AtomicU64,
         mut applied: u64,
         transit: &Transit,
         faults: &ShardFaults,
@@ -635,6 +659,7 @@ where
                         }
                     }
                     applied += units;
+                    packets_applied.fetch_add(units, Ordering::Release);
                     processed.fetch_add(units, Ordering::Release);
                     // Hand the drained buffer back for reuse; a full
                     // return channel just drops it (the dispatcher will
@@ -743,10 +768,9 @@ where
     }
 
     /// Packets dropped because their shard's worker was dead: packets
-    /// routed to an already-poisoned shard, plus the backlog that was
-    /// queued when the death was detected (best-effort — a control op
-    /// in flight at the moment of death can perturb the count by its
-    /// single flush unit).
+    /// routed to an already-poisoned shard, plus the packets that were
+    /// queued (or mid-batch) when the worker died. Control ops queued
+    /// behind a death are not packets and never count.
     pub fn lost_packets(&self) -> u64 {
         self.lost.load(Ordering::Acquire)
     }
@@ -2045,6 +2069,64 @@ mod tests {
         assert!(json.contains("\"kind\": \"reshard_phase\""), "{json}");
         let prom = snap.render_prometheus();
         assert!(prom.contains("hk_recoveries 1"), "{prom}");
+    }
+
+    #[test]
+    fn dead_backlog_counts_packets_not_queued_control_ops() {
+        // A windowed shard dies mid-walk with two rotation barriers
+        // (rotate + checkpoint op each) queued behind the crossing
+        // batch. Those ops die with the worker, but they are no
+        // packets: loss must stay inside the dark window and every
+        // offered packet is ingested, lost or shed — exactly once.
+        let hub = Arc::new(hk_obs::ObsHub::new());
+        let mut engine =
+            ShardedEngine::<u64, crate::sliding::SlidingTopK<u64>>::sliding(&cfg(2048, 8), 2, 3);
+        engine.attach_obs(hub);
+        engine.enable_checkpoints(u64::MAX).expect("fresh engine");
+        engine.set_fault_plan(&FaultPlan::new().with(0, 100, crate::fault::FaultKind::MidWalk));
+        let batch: Vec<u64> = (0..2000).collect();
+        {
+            // Holding shard 0's algo stalls its worker on the crossing
+            // batch (a mid-walk death applies under this lock), so the
+            // control ops below are queued behind it, not refused.
+            let algo = Arc::clone(&engine.shards[0].algo);
+            let held = algo.lock().expect("worker has not died yet");
+            engine.insert_batch(&batch);
+            engine
+                .rotate_all()
+                .expect("the worker is stalled, not dead");
+            engine
+                .rotate_all()
+                .expect("the worker is stalled, not dead");
+            assert_eq!(
+                engine.shards[0].enqueued.load(Ordering::Acquire)
+                    - engine.shards[0].processed.load(Ordering::Acquire),
+                engine.shards[0].packets_sent.load(Ordering::Acquire) + 4,
+                "the crossing batch and four control ops are in flight"
+            );
+            drop(held);
+        }
+        assert!(engine.flush().is_err(), "shard 0 died");
+        let healed = engine.recover().expect("baseline checkpoint restores");
+        assert_eq!(healed.len(), 1);
+        engine.insert_batch(&batch);
+        engine.flush().expect("healed engine");
+
+        let dark = healed[0].dark_packets;
+        let lost = engine.lost_packets();
+        assert!(lost > 0, "the crossing batch is lost");
+        assert!(
+            lost <= dark,
+            "{lost} lost outside a {dark}-packet dark window"
+        );
+        let snap = engine.obs_snapshot().expect("hub attached");
+        let ingested: u64 = snap.shards.iter().map(|s| s.ingest_packets).sum();
+        let offered = 2 * batch.len() as u64;
+        assert_eq!(
+            offered,
+            ingested + lost + engine.shed_packets(),
+            "conservation: offered = ingested + lost + shed"
+        );
     }
 
     #[test]

@@ -40,10 +40,16 @@
 //! epoch-ring scheme; widening per-epoch `k` mitigates it.
 //!
 //! Memory is `W`× one sketch, the usual price of sliding windows.
+//!
+//! Full-frame export (and so every shard checkpoint) is O(epochs changed
+//! since the last encode), not O(W): each live epoch keeps its encoded
+//! wire record once a frame has needed it, closed epochs are immutable,
+//! and every fresh epoch shares one cached empty-epoch record. A
+//! rotation-barrier checkpoint therefore encodes only the epoch the
+//! rotation just closed; the other records are copied.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::config::HkConfig;
 use crate::merge::{check_compatible, MergeError};
@@ -99,11 +105,25 @@ pub struct SlidingTopK<K: FlowKey> {
     /// outside [`SlidingTopK::memory_bytes`], which accounts the
     /// measurement structure, not the telemetry plane.
     pub(crate) export_shadow: Option<ExportShadow>,
-    /// Lifetime export operations served (frames + deltas + dirty
-    /// patches), atomic because the frame/delta exporters take `&self`.
-    pub(crate) export_ops: AtomicU64,
-    /// Total wire bytes across those exports.
-    pub(crate) export_bytes: AtomicU64,
+    /// Each live epoch's encoded wire record (`len | v1 payload | crc`),
+    /// aligned with `epochs`: filled lazily by
+    /// [`SlidingTopK::epoch_records`] (full-frame export and
+    /// checkpoints), popped and pushed with its epoch by
+    /// [`SlidingTopK::rotate`], and cleared by every `&mut` path that
+    /// changes the epoch. A window that never exports a full frame holds
+    /// none; one that does holds at most one frame's worth, aged out
+    /// with the epochs. Like the shadow, it is telemetry-plane memory
+    /// outside [`SlidingTopK::memory_bytes`].
+    records: VecDeque<OnceLock<Arc<Vec<u8>>>>,
+    /// The record every pristine epoch of this ring encodes to, tagged
+    /// with the array count it was encoded at (Section III-F expansion
+    /// changes the v1 header's `arrays` field). Filled on the first
+    /// export of a pristine newest epoch and shared by every later one.
+    empty_record: OnceLock<(usize, Arc<Vec<u8>>)>,
+    /// True while the newest epoch is exactly as [`SlidingTopK::new`] or
+    /// [`SlidingTopK::rotate`] opened it — no insert, merge or install
+    /// since — so its record is [`SlidingTopK::empty_record`].
+    newest_pristine: bool,
 }
 
 /// The packed words of the last closed epoch a dirty delta shipped,
@@ -151,8 +171,9 @@ impl<K: FlowKey> Clone for SlidingTopK<K> {
             // Scratch is cheap to refill; a clone starts cold.
             topk_scratch: Mutex::new(TopKScratch::default()),
             export_shadow: self.export_shadow.clone(),
-            export_ops: AtomicU64::new(self.export_ops()),
-            export_bytes: AtomicU64::new(self.exported_bytes()),
+            records: self.records.clone(),
+            empty_record: self.empty_record.clone(),
+            newest_pristine: self.newest_pristine,
         }
     }
 }
@@ -170,19 +191,10 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// Panics if `window == 0`.
     pub fn new(cfg: HkConfig, window: usize) -> Self {
         assert!(window > 0, "window must span at least one epoch");
-        let mut epochs = VecDeque::with_capacity(window);
-        epochs.push_back(ParallelTopK::new(cfg.clone()));
-        Self {
-            epochs,
-            cfg,
-            window,
-            rotations: 0,
-            closed_cache: Mutex::new(HashMap::new()),
-            topk_scratch: Mutex::new(TopKScratch::default()),
-            export_shadow: None,
-            export_ops: AtomicU64::new(0),
-            export_bytes: AtomicU64::new(0),
-        }
+        let mut window_ring =
+            Self::from_epochs(cfg.clone(), window, 0, vec![ParallelTopK::new(cfg)]);
+        window_ring.newest_pristine = true;
+        window_ring
     }
 
     /// Constructor from a *total* memory budget in bytes: the budget is
@@ -221,24 +233,6 @@ impl<K: FlowKey> SlidingTopK<K> {
         self.rotations
     }
 
-    /// Lifetime export operations served by this window — full frames,
-    /// deltas and dirty patches alike (observability; see `hk-obs`).
-    pub fn export_ops(&self) -> u64 {
-        self.export_ops.load(Ordering::Relaxed)
-    }
-
-    /// Total wire bytes across every export served.
-    pub fn exported_bytes(&self) -> u64 {
-        self.export_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Accounts one served export of `bytes` wire bytes (called by the
-    /// wire-format exporters; atomics so `&self` exporters can bump).
-    pub(crate) fn note_export(&self, bytes: usize) {
-        self.export_ops.fetch_add(1, Ordering::Relaxed);
-        self.export_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
     /// The configuration each epoch is built from.
     pub fn config(&self) -> &HkConfig {
         &self.cfg
@@ -250,10 +244,50 @@ impl<K: FlowKey> SlidingTopK<K> {
             .expect("at least one epoch is always live")
     }
 
+    /// The newest epoch, for a change: its cached record goes stale.
     fn newest_mut(&mut self) -> &mut ParallelTopK<K> {
+        self.newest_pristine = false;
+        if let Some(slot) = self.records.back_mut() {
+            slot.take();
+        }
         self.epochs
             .back_mut()
             .expect("at least one epoch is always live")
+    }
+
+    /// Drops every cached record (a change that touches all epochs).
+    fn clear_records(&mut self) {
+        self.newest_pristine = false;
+        for slot in &mut self.records {
+            slot.take();
+        }
+    }
+
+    /// Each live epoch's encoded wire record, oldest first, encoding
+    /// only the epochs whose record is not cached yet (the full-frame
+    /// exporter concatenates these behind its header). A pristine
+    /// newest epoch shares the ring's empty-epoch record, so right
+    /// after a rotation only the epoch it closed needs an encode.
+    pub(crate) fn epoch_records(&self) -> impl Iterator<Item = &Arc<Vec<u8>>> {
+        let newest = self.epochs.len() - 1;
+        self.epochs
+            .iter()
+            .zip(&self.records)
+            .enumerate()
+            .map(move |(i, (epoch, slot))| {
+                slot.get_or_init(|| {
+                    if i == newest && self.newest_pristine {
+                        let arrays = epoch.sketch().arrays();
+                        let (at, record) = self
+                            .empty_record
+                            .get_or_init(|| (arrays, Arc::new(crate::wire::epoch_record(epoch))));
+                        if *at == arrays {
+                            return Arc::clone(record);
+                        }
+                    }
+                    Arc::new(crate::wire::epoch_record(epoch))
+                })
+            })
     }
 
     /// Processes one packet of flow `key` into the newest epoch.
@@ -283,9 +317,13 @@ impl<K: FlowKey> SlidingTopK<K> {
                 .expect("at least one epoch is always live");
             evicted.recycle();
             self.epochs.push_back(evicted);
+            self.records.pop_front();
         } else {
             self.epochs.push_back(ParallelTopK::new(self.cfg.clone()));
         }
+        // The closed epoch keeps its record; the fresh one is pristine.
+        self.records.push_back(OnceLock::new());
+        self.newest_pristine = true;
         self.rotations += 1;
         // The closed set changed; cached closed-epoch sums are stale.
         self.cache().clear();
@@ -415,6 +453,8 @@ impl<K: FlowKey> SlidingTopK<K> {
             !epochs.is_empty() && epochs.len() <= window,
             "epoch count must be in 1..=window"
         );
+        let mut records = VecDeque::with_capacity(window);
+        records.resize_with(epochs.len(), OnceLock::new);
         Self {
             epochs: epochs.into(),
             cfg,
@@ -423,8 +463,9 @@ impl<K: FlowKey> SlidingTopK<K> {
             closed_cache: Mutex::new(HashMap::new()),
             topk_scratch: Mutex::new(TopKScratch::default()),
             export_shadow: None,
-            export_ops: AtomicU64::new(0),
-            export_bytes: AtomicU64::new(0),
+            records,
+            empty_record: OnceLock::new(),
+            newest_pristine: false,
         }
     }
 
@@ -445,6 +486,8 @@ impl<K: FlowKey> SlidingTopK<K> {
     }
 
     /// Accounted memory: `window` full instances (the epoch ring's cost).
+    /// The export plane's cached records and dirty shadow are not
+    /// counted.
     pub fn memory_bytes(&self) -> usize {
         let per_epoch = self
             .epochs
@@ -481,9 +524,10 @@ impl<K: FlowKey> SlidingTopK<K> {
         for (mine, theirs) in self.epochs.iter_mut().zip(other.epochs.iter()) {
             mine.merge_from(theirs)?;
         }
-        // Closed-epoch sums changed and the shadow no longer matches
-        // any epoch this window will close.
+        // Closed-epoch sums and records changed, and the shadow no
+        // longer matches any epoch this window will close.
         self.cache().clear();
+        self.clear_records();
         self.export_shadow = None;
         Ok(())
     }
@@ -496,6 +540,7 @@ impl<K: FlowKey> SlidingTopK<K> {
             epoch.retain_monitored(keep);
         }
         self.cache().clear();
+        self.clear_records();
         self.export_shadow = None;
     }
 }
@@ -837,6 +882,206 @@ mod tests {
             "warm cache agrees with a cold rebuild"
         );
         assert_eq!(a.query(&0), before_query);
+    }
+
+    /// Records encoded by the frame exports `f` runs on this thread.
+    fn encodes_during(f: impl FnOnce()) -> usize {
+        let before = crate::wire::RECORD_ENCODES.with(|n| n.get());
+        f();
+        crate::wire::RECORD_ENCODES.with(|n| n.get()) - before
+    }
+
+    /// The frame a cold rebuild of `win`'s epochs encodes: every record
+    /// fresh, nothing cached.
+    fn cold_frame(win: &SlidingTopK<u64>, switch_id: u64) -> Vec<u8> {
+        SlidingTopK::from_epochs(
+            win.config().clone(),
+            win.window(),
+            win.rotations(),
+            win.epoch_iter().cloned().collect(),
+        )
+        .export_frame(switch_id, 0)
+    }
+
+    fn expanding_cfg() -> HkConfig {
+        HkConfig::builder()
+            .arrays(2)
+            .width(8)
+            .k(4)
+            .seed(5)
+            .expansion(crate::config::ExpansionPolicy {
+                large_counter: 5,
+                blocked_threshold: 10,
+                max_arrays: 3,
+            })
+            .build()
+    }
+
+    #[test]
+    fn cached_frames_match_cold_rebuilds_under_random_operations() {
+        use hk_common::ShardCheckpoint;
+
+        for (cfg, window, seed) in [
+            (cfg(64, 4), 4, 1u64),
+            (cfg(64, 4), 1, 2),
+            (cfg(32, 8), 2, 3),
+            (expanding_cfg(), 3, 4),
+            (expanding_cfg(), 1, 5),
+        ] {
+            let mut state = seed;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut win = SlidingTopK::<u64>::new(cfg.clone(), window);
+            // Rotates in lockstep with `win`, so a merge from it is
+            // phase-compatible (and, once expansion diverges, a
+            // rejected all-or-nothing merge).
+            let mut twin = SlidingTopK::<u64>::new(cfg.clone(), window);
+            let mut flow = 0u64;
+            let (mut merged, mut refused, mut expanded) = (0, 0, false);
+            for step in 0..400 {
+                let op = next() % 12;
+                match op {
+                    0..=2 => {
+                        let n = (next() % 300) as usize;
+                        let keys: Vec<u64> = (0..n).map(|_| next() % (8 + flow % 64)).collect();
+                        win.insert_batch(&keys);
+                        twin.insert_batch(&keys[..n / 2]);
+                        flow += 1;
+                    }
+                    3 => {
+                        win.insert(&(next() % 16));
+                        win.insert(&flow);
+                    }
+                    4 => {
+                        win.rotate();
+                        twin.rotate();
+                    }
+                    5 => {
+                        let bytes = win.encode_checkpoint();
+                        assert_eq!(bytes, win.encode_checkpoint(), "step {step}: repeat");
+                    }
+                    6 => {
+                        let _ = win.export_frame(next() % 7, (next() % 1000) as u32);
+                    }
+                    7 => {
+                        let before = win.clone();
+                        if win.merge_from(&twin).is_ok() {
+                            merged += 1;
+                        } else {
+                            refused += 1;
+                            assert_eq!(
+                                win.export_frame(1, 0),
+                                before.export_frame(1, 0),
+                                "step {step}: a failed merge leaves the window untouched"
+                            );
+                        }
+                        // A phase mismatch is always rejected.
+                        let mut ahead = twin.clone();
+                        ahead.rotate();
+                        assert!(win.merge_from(&ahead).is_err());
+                    }
+                    8 => {
+                        let m = 2 + next() % 3;
+                        win.retain_monitored(&mut |k: &u64| !k.is_multiple_of(m));
+                    }
+                    9 => {
+                        let installed = twin.epoch_iter().last().cloned().expect("live epoch");
+                        win.commit_epoch(installed);
+                        twin.rotate();
+                    }
+                    10 => win = win.clone(),
+                    _ => {
+                        let bytes = win.encode_checkpoint();
+                        let restored =
+                            SlidingTopK::<u64>::restore_checkpoint(&bytes).expect("restores");
+                        assert_eq!(
+                            restored.encode_checkpoint(),
+                            bytes,
+                            "step {step}: re-encode"
+                        );
+                        win = restored;
+                        // The twin follows the restored ring config.
+                        twin = SlidingTopK::from_epochs(
+                            win.config().clone(),
+                            window,
+                            win.rotations(),
+                            twin.epoch_iter().cloned().collect(),
+                        );
+                    }
+                }
+                let switch_id = next() % 5;
+                assert_eq!(
+                    win.export_frame(switch_id, 0),
+                    cold_frame(&win, switch_id),
+                    "step {step} (op {op}, W = {window}): cached frame != cold rebuild"
+                );
+                expanded |= win.epoch_iter().any(|e| e.sketch().arrays() > cfg.arrays);
+            }
+            assert!(merged > 0, "W = {window}: no merge succeeded");
+            if cfg.expansion.is_some() {
+                assert!(
+                    expanded && refused > 0,
+                    "W = {window}: expansion never diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rotation_checkpoints_encode_only_the_closed_epoch() {
+        use hk_common::ShardCheckpoint;
+
+        let window = 4;
+        let mut win = SlidingTopK::<u64>::new(cfg(256, 8), window);
+        let traffic = |win: &mut SlidingTopK<u64>, r: u64| {
+            let keys: Vec<u64> = (0..2000).map(|i| (i * 7 + r) % 97).collect();
+            win.insert_batch(&keys);
+        };
+        // Fill the ring; the first checkpoint also encodes the shared
+        // empty-epoch record.
+        for r in 0..window as u64 {
+            traffic(&mut win, r);
+            win.rotate();
+            let _ = win.encode_checkpoint();
+        }
+        for r in 0..6u64 {
+            traffic(&mut win, r);
+            win.rotate();
+            assert_eq!(encodes_during(|| drop(win.encode_checkpoint())), 1);
+            assert_eq!(
+                encodes_during(|| drop(win.encode_checkpoint())),
+                0,
+                "a back-to-back checkpoint copies every record"
+            );
+        }
+        // A mid-epoch checkpoint re-encodes only the epoch that changed.
+        traffic(&mut win, 9);
+        assert_eq!(encodes_during(|| drop(win.encode_checkpoint())), 1);
+
+        let other = win.clone();
+        win.merge_from(&other).expect("same phase");
+        assert_eq!(encodes_during(|| drop(win.encode_checkpoint())), window);
+        win.retain_monitored(&mut |k: &u64| k.is_multiple_of(2));
+        assert_eq!(encodes_during(|| drop(win.encode_checkpoint())), window);
+
+        // Records age out with their epochs: W rotations without an
+        // export leave none behind.
+        for _ in 0..window {
+            win.rotate();
+        }
+        assert!(win.records.iter().all(|slot| slot.get().is_none()));
+        // A window that never exports a full frame holds no record.
+        let mut quiet = SlidingTopK::<u64>::new(cfg(256, 8), window);
+        for r in 0..8 {
+            traffic(&mut quiet, r);
+            quiet.rotate();
+        }
+        assert!(quiet.records.iter().all(|slot| slot.get().is_none()));
+        assert!(quiet.empty_record.get().is_none());
     }
 
     #[test]

@@ -532,18 +532,41 @@ fn encode_epoch_record<K: FlowKey>(out: &mut Vec<u8>, epoch: &ParallelTopK<K>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// One epoch's record on its own, sized exactly — what the sliding
+/// window caches per epoch and [`SlidingTopK::export_frame`] copies.
+///
+/// [`SlidingTopK::export_frame`]: crate::sliding::SlidingTopK::export_frame
+pub(crate) fn epoch_record<K: FlowKey>(epoch: &ParallelTopK<K>) -> Vec<u8> {
+    #[cfg(test)]
+    RECORD_ENCODES.with(|n| n.set(n.get() + 1));
+    let mut out = Vec::with_capacity(RECORD_OVERHEAD + epoch.wire_len());
+    encode_epoch_record(&mut out, epoch);
+    out
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Records [`epoch_record`] encoded on this thread, so tests can pin
+    /// how many epochs a frame export actually encoded.
+    pub(crate) static RECORD_ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// Exports the whole ring as a [`FrameKind::Full`] window frame:
     /// every live epoch (the accumulating newest included), the
     /// rotation counter, and the per-epoch packet budget. This is the
     /// initial snapshot a delta stream starts from, and the resync
     /// payload after loss.
+    ///
+    /// The records come from the window's per-epoch record cache, so a
+    /// frame costs one encode per epoch changed since the last full
+    /// export plus a copy of the rest: closed epochs are immutable, and
+    /// a fresh epoch shares the cached empty-epoch record. The bytes
+    /// are identical to encoding every epoch afresh.
     pub fn export_frame(&self, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
-        let len = HEADER_LEN
-            + self
-                .epoch_iter()
-                .map(|e| RECORD_OVERHEAD + e.wire_len())
-                .sum::<usize>();
+        // The first pass fills any missing record; the second only
+        // reads cached ones.
+        let len = HEADER_LEN + self.epoch_records().map(|r| r.len()).sum::<usize>();
         let mut out = Vec::with_capacity(len);
         encode_frame_header(
             &mut out,
@@ -555,11 +578,10 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
             self.live_epochs(),
             epoch_packets,
         );
-        for epoch in self.epoch_iter() {
-            encode_epoch_record(&mut out, epoch);
+        for record in self.epoch_records() {
+            out.extend_from_slice(record);
         }
         debug_assert_eq!(out.len(), len, "frame sized exactly");
-        self.note_export(out.len());
         out
     }
 
@@ -601,7 +623,6 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
         );
         encode_epoch_record(&mut out, closed);
         debug_assert_eq!(out.len(), len, "frame sized exactly");
-        self.note_export(out.len());
         Some(out)
     }
 
@@ -689,9 +710,6 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
             width,
             words,
         });
-        if let Some(b) = &bytes {
-            self.note_export(b.len());
-        }
         bytes
     }
 }
@@ -1101,7 +1119,9 @@ impl<K: FlowKey> WindowFrame<K> {
 // contract for everything the formats ship; the decay RNG position is
 // transient by the format's design (the restored instance re-seeds from
 // the config), which perturbs *future* decay draws only, never
-// recorded counts.
+// recorded counts. A window checkpoint is `export_frame`, so it reuses
+// the window's cached epoch records: it costs O(epochs changed since
+// the last encode), and the cache is memory outside `memory_bytes`.
 
 impl<K: FlowKey> hk_common::ShardCheckpoint for ParallelTopK<K> {
     fn encode_checkpoint(&self) -> Vec<u8> {
